@@ -6,7 +6,6 @@ integer characteristic polynomial, and verify the p-adic spanning-tree
 growth law against brute-force tower data.
 """
 
-from .backend import kernel_backend
 from .errors import (
     DocumentError,
     EmptyGraphError,

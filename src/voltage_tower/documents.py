@@ -19,14 +19,12 @@ GRAPH_SCHEMA = "voltage-tower/graph-v1"
 INVARIANTS_SCHEMA = "voltage-tower/invariants-v1"
 TOWER_REPORT_SCHEMA = "voltage-tower/tower-report-v1"
 
-_UNDIRECTED_PREFIX = "undirected("
-
 
 def graph_to_document(g: DirectedMultigraph) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "schema": GRAPH_SCHEMA,
         "name": g.name,
-        "directed": not g.is_undirected_image(),
+        "directed": not g.undirected,
         "vertex_count": g.vertex_count,
         "edges": [[s, t] for s, t in g.edges],
     }
@@ -55,7 +53,9 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
         raise DocumentError("name must be a string")
     if not isinstance(directed, bool):
         raise DocumentError("directed must be a boolean")
-    if not isinstance(vertex_count, int) or vertex_count < 0:
+    # ``type(x) is int`` rather than isinstance: JSON true/false load as
+    # bool, a subclass of int.
+    if type(vertex_count) is not int or vertex_count < 0:
         raise DocumentError("vertex_count must be a non-negative integer")
     if not isinstance(edges, list):
         raise DocumentError("edges must be a list")
@@ -64,7 +64,8 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(x, int) for x in e)
+            or type(e[0]) is not int
+            or type(e[1]) is not int
         ):
             raise DocumentError(f"bad edge {e!r}")
         parsed_edges.append((e[0], e[1]))
@@ -75,13 +76,14 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
         ):
             raise DocumentError("labels must be a list of strings")
         labels = tuple(labels)
-    marked = name.startswith(_UNDIRECTED_PREFIX)
-    if marked and directed:
-        raise DocumentError("name marks an undirected image but directed is true")
-    if not directed and not marked:
-        name = f"{_UNDIRECTED_PREFIX}{name})"
     try:
-        return DirectedMultigraph(vertex_count, tuple(parsed_edges), labels, name)
+        return DirectedMultigraph(
+            vertex_count,
+            tuple(parsed_edges),
+            labels,
+            name,
+            undirected=not directed,
+        )
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -152,9 +154,8 @@ def _dot_quote(s: str) -> str:
 
 
 def graph_to_dot(g: DirectedMultigraph) -> str:
-    undirected = g.is_undirected_image()
-    kind = "graph" if undirected else "digraph"
-    arrow = "--" if undirected else "->"
+    kind = "graph" if g.undirected else "digraph"
+    arrow = "--" if g.undirected else "->"
     lines = [f"{kind} {_dot_quote(g.name)} {{"]
     for v in range(g.vertex_count):
         label = g.vertex_labels[v] if g.vertex_labels else f"v{v}"

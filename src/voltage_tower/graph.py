@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 
 from .errors import EmptyGraphError, NotConnectedError
 
-_UNDIRECTED_PREFIX = "undirected("
-
 
 @dataclass(frozen=True)
 class DirectedMultigraph:
@@ -25,12 +23,15 @@ class DirectedMultigraph:
 
     ``vertex_labels``, when present, is purely decorative (one string per
     vertex); ``name`` identifies the graph in documents and reports.
+    ``undirected`` marks an undirected image (see
+    :func:`underlying_undirected`): its edges are unordered pairs.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     vertex_labels: Optional[tuple[str, ...]] = None
     name: str = "graph"
+    undirected: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -49,10 +50,6 @@ class DirectedMultigraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def is_undirected_image(self) -> bool:
-        """True for graphs produced by :func:`underlying_undirected`."""
-        return self.name.startswith(_UNDIRECTED_PREFIX)
 
 
 @dataclass(frozen=True)
@@ -84,13 +81,17 @@ class CycleWeightProfile:
 
 
 def underlying_undirected(g: DirectedMultigraph) -> DirectedMultigraph:
-    """Forgetful image of ``g``: edges canonicalized to (min, max) and the
-    name marked so consumers treat them as unordered pairs."""
-    if g.is_undirected_image():
+    """Forgetful image of ``g``: edges canonicalized to (min, max) and
+    marked ``undirected`` so consumers treat them as unordered pairs."""
+    if g.undirected:
         return g
     canon = tuple((min(s, t), max(s, t)) for s, t in g.edges)
     return DirectedMultigraph(
-        g.vertex_count, canon, g.vertex_labels, f"{_UNDIRECTED_PREFIX}{g.name})"
+        g.vertex_count,
+        canon,
+        g.vertex_labels,
+        f"undirected({g.name})",
+        undirected=True,
     )
 
 
@@ -155,7 +156,13 @@ def subgraph(g: DirectedMultigraph, vertices: Sequence[int]) -> DirectedMultigra
     labels = None
     if g.vertex_labels is not None:
         labels = tuple(g.vertex_labels[v] for v in vertices)
-    return DirectedMultigraph(len(vertices), edges, labels, f"{g.name}[component]")
+    return DirectedMultigraph(
+        len(vertices),
+        edges,
+        labels,
+        f"{g.name}[component]",
+        undirected=g.undirected,
+    )
 
 
 def cycle_weight_profile(

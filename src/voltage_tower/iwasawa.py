@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import valuation
+from .arith import is_prime, valuation
 from .errors import (
+    InvalidPrimeError,
     NoTowerError,
     NotConnectedError,
     StructureViolationError,
@@ -111,6 +112,8 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
 def weierstrass(poly: IntPolynomial, p: int) -> tuple[int, int]:
     """(mu_total, lam_total): the least coefficient valuation and the first
     index attaining it, read straight off the integer coefficients."""
+    if not is_prime(p):
+        raise InvalidPrimeError(f"{p} is not prime")
     if poly.is_zero:
         raise ZeroPolynomialError("zero polynomial has no Weierstrass data")
     mu_total = None
@@ -138,6 +141,8 @@ def invariants(g: DirectedMultigraph, p: int) -> IwasawaInvariants:
     cross-validation suite, including mu > 0 towers with n0 > 0 where the
     two exponents genuinely differ.)
     """
+    if not is_prime(p):
+        raise InvalidPrimeError(f"{p} is not prime")
     profile = cycle_weight_profile(g)
     n0 = stabilization_level(profile, p)
     if n0 is None:

@@ -19,6 +19,7 @@ from .errors import (
     NonIntegralInterpolationError,
     NotConnectedError,
     NotSquareError,
+    StructureViolationError,
     TooLargeError,
 )
 from .graph import DirectedMultigraph, is_connected
@@ -98,7 +99,7 @@ def kirchhoff_count(
     det = bareiss_determinant(minor)
     count = -det if (row + col) % 2 else det
     if count < 1:
-        raise AssertionError("spanning-tree count must be positive")
+        raise StructureViolationError("spanning-tree count must be positive")
     return count
 
 

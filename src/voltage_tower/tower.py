@@ -18,6 +18,7 @@ from .errors import (
     InvalidPrimeError,
     NoTowerError,
     NotAUnitError,
+    StructureViolationError,
 )
 from .graph import (
     CycleWeightProfile,
@@ -136,7 +137,7 @@ def tower_component(
     for comp in components(derived.graph):
         if comp[0] == 0:
             return subgraph(derived.graph, comp)
-    raise AssertionError("vertex 0 not found in any component")
+    raise StructureViolationError("vertex 0 not found in any component")
 
 
 def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
@@ -159,6 +160,10 @@ def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
             f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
         )
     renamed = DirectedMultigraph(
-        g.vertex_count, edges, labels, f"{g.name}*{u}"
+        g.vertex_count,
+        edges,
+        labels,
+        f"{g.name}*{u}",
+        undirected=g.undirected,
     )
     return DerivedGraph(renamed, d.base_vertex_count, d.level)

@@ -7,11 +7,18 @@ from voltage_tower import (
     DirectedMultigraph,
     VolcanoSpec,
     bouquet,
+    cycle_weight_profile,
     directed_cycle,
     doubled,
+    fit_growth_parameters,
+    invariants,
     is_connected,
+    stabilization_level,
+    verify_growth,
     volcano,
 )
+
+CROSS_VALIDATION_PRIMES = (2, 3, 5)
 
 
 def path_graph(k: int) -> DirectedMultigraph:
@@ -70,3 +77,37 @@ def build_corpus() -> list[DirectedMultigraph]:
 @pytest.fixture(scope="session")
 def corpus() -> list[DirectedMultigraph]:
     return build_corpus()
+
+
+def fit_matches_weierstrass(g, p, budget_vertices=1600):
+    """Climb the tower until the top-three-level fit reproduces the
+    Weierstrass pair; the growth law is asymptotic, so low levels may
+    precede the exact regime."""
+    profile = cycle_weight_profile(g)
+    n0 = stabilization_level(profile, p)
+    assert n0 is not None
+    inv = invariants(g, p)
+    for n_max in range(n0 + 2, n0 + 8):
+        if g.vertex_count * p**n_max > budget_vertices:
+            return False
+        report = verify_growth(g, p, n_max)
+        points = [(lvl.n - n0, lvl.ord_p) for lvl in report.levels]
+        fitted = fit_growth_parameters(points, p)
+        if fitted is not None and fitted[:2] == (inv.mu, inv.lam):
+            return True
+    return False
+
+
+@pytest.fixture(scope="session")
+def tower_fit_matches(corpus) -> dict[tuple[DirectedMultigraph, int], bool]:
+    """fit_matches_weierstrass for every (graph, p) of the corpus that has
+    a tower, climbed once per session and shared by the tests that check
+    it."""
+    results = {}
+    for g in corpus:
+        for p in CROSS_VALIDATION_PRIMES:
+            if stabilization_level(cycle_weight_profile(g), p) is None:
+                continue
+            budget = 800 if p == 5 else 1600
+            results[(g, p)] = fit_matches_weierstrass(g, p, budget)
+    return results

@@ -237,26 +237,8 @@ def test_criterion_8_structure_propagation():
     _passed(8, "volcano structure propagates through towers; total-degree formulas hold on the full grid")
 
 
-def test_criterion_9_cross_validation(corpus):
-    checked = 0
-    for g in corpus:
-        for p in PRIMES:
-            profile = cycle_weight_profile(g)
-            n0 = stabilization_level(profile, p)
-            if n0 is None:
-                continue
-            inv = invariants(g, p)
-            budget = 800 if p == 5 else 1600
-            matched = False
-            for n_max in range(n0 + 2, n0 + 8):
-                if g.vertex_count * p**n_max > budget:
-                    break
-                report = verify_growth(g, p, n_max)
-                points = [(lvl.n - n0, lvl.ord_p) for lvl in report.levels]
-                fitted = fit_growth_parameters(points, p)
-                if fitted is not None and fitted[:2] == (inv.mu, inv.lam):
-                    matched = True
-                    break
-            assert matched, (g.name, p, inv.mu, inv.lam)
-            checked += 1
+def test_criterion_9_cross_validation(tower_fit_matches):
+    for (g, p), matched in tower_fit_matches.items():
+        assert matched, (g.name, p, invariants(g, p))
+    checked = len(tower_fit_matches)
     _passed(9, f"Weierstrass (mu, lambda) equals the tower-data fit for {checked} graph/prime pairs")

@@ -1,70 +1,11 @@
-import os
-import random
-import subprocess
-import sys
-
-import pytest
-
-from voltage_tower import _kernel_py, kernel_backend
-from voltage_tower.linalg import _laplacian_rows
-
-try:
-    from voltage_tower import _kernel
-except ImportError:
-    _kernel = None
-
-
-def test_backend_reports_a_known_name():
-    assert kernel_backend() in ("cython", "python")
-
-
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel unavailable")
-def test_kernels_agree_on_random_matrices():
-    rng = random.Random(42)
-    for _ in range(30):
-        n = rng.randint(0, 8)
-        rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-        assert _kernel.bareiss_determinant(rows) == (
-            _kernel_py.bareiss_determinant(rows)
-        )
-
-
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel unavailable")
-def test_kernels_agree_on_laplacians():
-    from voltage_tower import ConstantVoltage, derive, directed_cycle
-
-    d = derive(directed_cycle(3), ConstantVoltage(2), 3)
-    lap = _laplacian_rows(d.graph)
-    reduced = [row[1:] for row in lap[1:]]
-    assert _kernel.bareiss_determinant(reduced) == (
-        _kernel_py.bareiss_determinant(reduced)
-    )
+from voltage_tower.backend import bareiss_determinant
 
 
 def test_kernels_do_not_mutate_input():
     rows = [[1, 2], [3, 4]]
     snapshot = [r[:] for r in rows]
-    _kernel_py.bareiss_determinant(rows)
+    bareiss_determinant(rows)
     assert rows == snapshot
-    if _kernel is not None:
-        _kernel.bareiss_determinant(rows)
-        assert rows == snapshot
-
-
-def test_pure_python_override_via_environment():
-    env = dict(os.environ, VOLTAGE_TOWER_PURE_PYTHON="1")
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import voltage_tower; print(voltage_tower.kernel_backend())",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
 
 
 def test_big_integer_entries_stay_exact():
@@ -81,6 +22,4 @@ def test_big_integer_entries_stay_exact():
         - 0
         - 0
     )
-    assert _kernel_py.bareiss_determinant(rows) == expected
-    if _kernel is not None:
-        assert _kernel.bareiss_determinant(rows) == expected
+    assert bareiss_determinant(rows) == expected

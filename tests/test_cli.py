@@ -13,6 +13,7 @@ from voltage_tower.documents import (
     DocumentError,
     graph_from_document,
     graph_to_document,
+    graph_to_dot,
     read_graph,
     write_graph,
 )
@@ -59,6 +60,41 @@ def test_graph_document_rejects_garbage():
                 "edges": [[0, 5]],
             }
         )
+
+
+def test_directed_graph_with_an_undirected_looking_name():
+    g = DirectedMultigraph(2, ((0, 1),), name="undirected(x)")
+    doc = graph_to_document(g)
+    assert doc["directed"] is True
+    assert graph_to_dot(g).startswith("digraph")
+    assert graph_from_document(doc) == g
+
+
+def _graph_doc(**overrides):
+    doc = {
+        "schema": "voltage-tower/graph-v1",
+        "name": "x",
+        "directed": True,
+        "vertex_count": 2,
+        "edges": [[0, 1]],
+    }
+    doc.update(overrides)
+    return doc
+
+
+def test_graph_document_rejects_booleans_as_integers(tmp_path, capsys):
+    for doc in (
+        _graph_doc(vertex_count=True, edges=[]),
+        _graph_doc(edges=[[False, 1]]),
+        _graph_doc(edges=[[0, True]]),
+    ):
+        with pytest.raises(DocumentError):
+            graph_from_document(doc)
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps(_graph_doc(vertex_count=True, edges=[])))
+    code, _, err = run(["oracle", "-i", str(src)], capsys)
+    assert code == 2
+    assert "vertex_count" in err
 
 
 def test_gen_matches_in_memory_constructions(tmp_path, capsys):
@@ -194,6 +230,20 @@ def test_invariants_bouquet_and_tree(tmp_path, capsys):
     code, _, err = run(["invariants", "-i", str(flat), "--p", "2"], capsys)
     assert code == 4
     assert "weight" in err
+
+
+def test_invariants_rejects_composite_p(tmp_path, capsys):
+    src = tmp_path / "b.json"
+    write_graph(bouquet(2), str(src))
+    for argv in (
+        ["invariants", "-i", str(src), "--p", "4"],
+        ["invariants", "-i", str(src), "--p", "4", "--n-max", "2"],
+        ["verify", "-i", str(src), "--p", "4", "--n-max", "2"],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "4 is not prime" in err
 
 
 def test_verify_command(tmp_path, capsys):

@@ -35,7 +35,7 @@ def test_underlying_undirected_keeps_multiplicity():
     g = DirectedMultigraph(2, ((0, 1), (1, 0)))
     u = underlying_undirected(g)
     assert u.edges == ((0, 1), (0, 1))
-    assert u.is_undirected_image()
+    assert u.undirected
     assert underlying_undirected(u) is u
 
 

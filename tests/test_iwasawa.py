@@ -6,6 +6,7 @@ from voltage_tower import (
     CraterSpec,
     DirectedMultigraph,
     IntPolynomial,
+    InvalidPrimeError,
     NoTowerError,
     NotConnectedError,
     VolcanoSpec,
@@ -55,6 +56,14 @@ def test_weierstrass_examples():
     assert weierstrass(IntPolynomial((0, 0, -9, -18, -15, -6, -1)), 3) == (0, 6)
     with pytest.raises(ZeroPolynomialError):
         weierstrass(IntPolynomial(()), 2)
+
+
+def test_composite_p_is_rejected():
+    with pytest.raises(InvalidPrimeError):
+        weierstrass(IntPolynomial((0, 0, -2)), 4)
+    for p in (0, 1, 4, 9):
+        with pytest.raises(InvalidPrimeError):
+            invariants(bouquet(2), p)
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,33 +232,9 @@ def test_fit_growth_parameters():
         fit_growth_parameters([(0, 0)], 2)
 
 
-def fit_matches_weierstrass(g, p, budget_vertices=1600):
-    """Climb the tower until the top-three-level fit reproduces the
-    Weierstrass pair; the growth law is asymptotic, so low levels may
-    precede the exact regime."""
-    profile = cycle_weight_profile(g)
-    n0 = stabilization_level(profile, p)
-    assert n0 is not None
-    inv = invariants(g, p)
-    for n_max in range(n0 + 2, n0 + 8):
-        if g.vertex_count * p**n_max > budget_vertices:
-            return False
-        report = verify_growth(g, p, n_max)
-        points = [(lvl.n - n0, lvl.ord_p) for lvl in report.levels]
-        fitted = fit_growth_parameters(points, p)
-        if fitted is not None and fitted[:2] == (inv.mu, inv.lam):
-            return True
-    return False
-
-
-def test_cross_validation_weierstrass_vs_tower_fit(corpus):
-    for g in corpus:
-        for p in PRIMES:
-            profile = cycle_weight_profile(g)
-            if stabilization_level(profile, p) is None:
-                continue
-            budget = 800 if p == 5 else 1600
-            assert fit_matches_weierstrass(g, p, budget), (g.name, p)
+def test_cross_validation_weierstrass_vs_tower_fit(tower_fit_matches):
+    for (g, p), matched in tower_fit_matches.items():
+        assert matched, (g.name, p)
 
 
 def test_balanced_even_weight_towers_at_two():

@@ -11,6 +11,7 @@ from voltage_tower import (
     NonIntegralInterpolationError,
     NotConnectedError,
     NotSquareError,
+    StructureViolationError,
     TooLargeError,
     brute_force_spanning_trees,
     determinant,
@@ -20,6 +21,7 @@ from voltage_tower import (
     smith_normal_form,
     underlying_undirected,
 )
+from voltage_tower import linalg
 from voltage_tower.linalg import _laplacian_rows
 
 from oracles import cofactor_determinant
@@ -93,6 +95,12 @@ def test_kirchhoff_examples():
     assert kirchhoff_count(DirectedMultigraph(1, ())) == 1
     with pytest.raises(NotConnectedError):
         kirchhoff_count(DirectedMultigraph(2, ()))
+
+
+def test_kirchhoff_rejects_a_non_positive_count(monkeypatch):
+    monkeypatch.setattr(linalg, "bareiss_determinant", lambda rows: 0)
+    with pytest.raises(StructureViolationError):
+        kirchhoff_count(directed_cycle(3))
 
 
 def double_crater_graph(length: int) -> DirectedMultigraph:
