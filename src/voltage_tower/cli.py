@@ -111,26 +111,29 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     g = documents.read_graph(args.input)
-    inv = invariants(g, args.p)
-    report = None
-    if args.n_max is not None:
+    if args.n_max is None:
+        report = None
+        inv = invariants(g, args.p)
+    else:
         report = verify_growth(g, args.p, args.n_max)
+        inv = report.invariants
     doc = documents.invariants_to_document(inv, report)
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
-def _report_table(report, inv) -> str:
+def _report_table(report) -> str:
+    inv = report.invariants
     lines = [
         f"p={inv.p} n0={inv.n0} mu={inv.mu} lambda={inv.lam} "
         f"nu={report.fitted_nu}",
         f"{'n':>3} {'components':>10} {'kappa':>24} {'ord_p':>6} {'predicted':>9}",
     ]
     for lvl in report.levels:
+        kappa = documents.decimal_str(lvl.kappa_per_component)
         lines.append(
             f"{lvl.n:>3} {lvl.component_count:>10} "
-            f"{str(lvl.kappa_per_component):>24} {lvl.ord_p:>6} "
-            f"{lvl.predicted_ord_p:>9}"
+            f"{kappa:>24} {lvl.ord_p:>6} {lvl.predicted_ord_p:>9}"
         )
     if report.exact_from_level is not None:
         lines.append(f"growth law exact from level {report.exact_from_level}")
@@ -141,18 +144,12 @@ def _report_table(report, inv) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = documents.read_graph(args.input)
-    inv = invariants(g, args.p)
     report = verify_growth(g, args.p, args.n_max)
     if args.json:
-        text = (
-            json.dumps(
-                documents.tower_report_to_document(report, args.p, inv),
-                indent=2,
-            )
-            + "\n"
-        )
+        doc = documents.tower_report_to_document(report)
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = _report_table(report, inv)
+        text = _report_table(report)
     _emit(text, args.output)
     if report.exact_from_level is None:
         top = report.levels[-1]

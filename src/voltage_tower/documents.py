@@ -8,6 +8,7 @@ outgrow 64-bit consumers quickly.  Unknown fields are rejected.
 
 from __future__ import annotations
 
+import decimal
 import json
 from typing import Any, Optional
 
@@ -103,17 +104,23 @@ def read_graph(path: str) -> DirectedMultigraph:
     return graph_from_document(doc)
 
 
-def tower_report_to_document(
-    report: TowerReport, p: int, inv: Optional[IwasawaInvariants] = None
-) -> dict[str, Any]:
-    doc: dict[str, Any] = {
+def decimal_str(n: int) -> str:
+    """Decimal digits of an integer of any size.  ``str(int)`` refuses
+    more than ``sys.get_int_max_str_digits()`` digits; ``Decimal`` does
+    not, and needs no change to that global limit."""
+    return str(decimal.Decimal(n))
+
+
+def tower_report_to_document(report: TowerReport) -> dict[str, Any]:
+    inv = report.invariants
+    return {
         "schema": TOWER_REPORT_SCHEMA,
-        "p": p,
+        "p": inv.p,
         "levels": [
             {
                 "n": lvl.n,
                 "component_count": lvl.component_count,
-                "kappa_per_component": str(lvl.kappa_per_component),
+                "kappa_per_component": decimal_str(lvl.kappa_per_component),
                 "ord_p": lvl.ord_p,
                 "predicted_ord_p": lvl.predicted_ord_p,
             }
@@ -121,12 +128,10 @@ def tower_report_to_document(
         ],
         "fitted_nu": report.fitted_nu,
         "exact_from_level": report.exact_from_level,
+        "n0": inv.n0,
+        "mu": inv.mu,
+        "lambda": inv.lam,
     }
-    if inv is not None:
-        doc["n0"] = inv.n0
-        doc["mu"] = inv.mu
-        doc["lambda"] = inv.lam
-    return doc
 
 
 def invariants_to_document(
@@ -140,12 +145,10 @@ def invariants_to_document(
         "lambda": inv.lam,
         "mu_total": inv.mu_total,
         "lambda_total": inv.lam_total,
-        "charpoly": [str(c) for c in inv.charpoly],
+        "charpoly": [decimal_str(c) for c in inv.charpoly],
     }
     if tower_report is not None:
-        doc["tower_report"] = tower_report_to_document(
-            tower_report, inv.p, inv
-        )
+        doc["tower_report"] = tower_report_to_document(tower_report)
     return doc
 
 

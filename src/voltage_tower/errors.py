@@ -26,8 +26,8 @@ class ZeroPolynomialError(VoltageTowerError):
 
 
 class NonIntegralInterpolationError(VoltageTowerError):
-    """Interpolated coefficients are not integers; the stated degree bound
-    was violated."""
+    """Interpolation data are not the values of an integer polynomial of
+    the stated degree bound."""
 
 
 class InvalidPrimeError(VoltageTowerError):

@@ -69,11 +69,13 @@ class TowerLevel:
 
 @dataclass(frozen=True)
 class TowerReport:
-    """Per-level spanning-tree data with the fitted growth constant."""
+    """Per-level spanning-tree data with the fitted growth constant and
+    the invariants the prediction was made from."""
 
     levels: tuple[TowerLevel, ...]
     fitted_nu: Optional[int]
     exact_from_level: Optional[int]
+    invariants: IwasawaInvariants
 
 
 def char_poly(g: DirectedMultigraph) -> IntPolynomial:
@@ -83,6 +85,10 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     (A^t)_ij with D the total-degree diagonal (loops counted twice) and A
     the adjacency matrix (loops once); every entry has degree at most 2,
     so 2r + 1 integer determinants pin the polynomial down.
+
+    The cleared determinant is Q(u) = P(u - 1) with Q(u) = u^(2r) Q(1/u)
+    (transpose M(1/u)) and Q(1) = det(Laplacian) = 0, so u = 1 is at least
+    a double root: T^2 divides P(T), checked here.
     """
     if not is_connected(g):
         raise NotConnectedError("characteristic polynomial needs a connected graph")
@@ -102,9 +108,9 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
             row.append(e)
         entries.append(row)
     p = poly_matrix_determinant(entries, 2 * r)
-    if p.coefficient(0) != 0:
+    if p.coefficient(0) != 0 or p.coefficient(1) != 0:
         raise StructureViolationError(
-            "characteristic polynomial has a nonzero constant term"
+            "characteristic polynomial is not divisible by T^2"
         )
     return p
 
@@ -170,7 +176,8 @@ def verify_growth(
     kappa_n counts spanning trees of one tower component at level n and
     m = n - n0 indexes the tower from its connected base.  nu is fitted at
     the top level and back-checked downward; ``exact_from_level`` is the
-    least level from which the identity holds on all recorded data.
+    least level from which the identity holds on all recorded data.  The
+    report carries ``invariants(g, p)``, computed once here.
     """
     inv = invariants(g, p)
     n0 = inv.n0
@@ -197,7 +204,7 @@ def verify_growth(
         else:
             exact_from = None
         levels.append(TowerLevel(n, ncomp, kappa, ord_p, predicted))
-    return TowerReport(tuple(levels), nu, exact_from)
+    return TowerReport(tuple(levels), nu, exact_from, inv)
 
 
 def fit_growth_parameters(

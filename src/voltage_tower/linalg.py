@@ -3,16 +3,15 @@
 Everything here is exact: determinants by fraction-free elimination,
 spanning-tree counts through the Laplacian, Smith normal form for Picard
 torsion, and polynomial-matrix determinants by evaluation at integer
-points followed by rational interpolation.  No floating point anywhere;
-p-adic valuations downstream depend on it.
+points followed by integer Newton interpolation.  No floating point
+anywhere; p-adic valuations downstream depend on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .backend import bareiss_determinant
 from .errors import (
@@ -223,26 +222,22 @@ def _default_points(count: int) -> list[int]:
 
 
 def poly_matrix_determinant(
-    entries: Sequence[Sequence[IntPolynomial]],
-    degree_bound: int,
-    points: Optional[Sequence[int]] = None,
+    entries: Sequence[Sequence[IntPolynomial]], degree_bound: int
 ) -> IntPolynomial:
     """Determinant of a square matrix of integer polynomials.
 
-    Evaluates the matrix at ``degree_bound + 1`` distinct integers, takes
-    exact integer determinants, and recovers the coefficients by Lagrange
-    interpolation over the rationals.  A non-integral coefficient means the
-    true degree exceeded ``degree_bound``.
+    Evaluates the matrix at the ``degree_bound + 1`` integers 0, 1, -1, 2,
+    -2, ..., takes exact integer determinants, and recovers the
+    coefficients by Newton interpolation in integers.  The caller sizes
+    ``degree_bound``: too low a bound returns the remainder modulo the
+    product of (T - x) over the nodes, which is still integral.
     """
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise NotSquareError("polynomial matrix is not square")
     if degree_bound < 0:
         raise ValueError("degree_bound must be non-negative")
-    npts = degree_bound + 1
-    xs = list(points) if points is not None else _default_points(npts)
-    if len(xs) != npts or len(set(xs)) != npts:
-        raise ValueError(f"need {npts} distinct evaluation points")
+    xs = _default_points(degree_bound + 1)
     ys = [
         bareiss_determinant([[e(x) for e in row] for row in entries])
         for x in xs
@@ -251,35 +246,27 @@ def poly_matrix_determinant(
 
 
 def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
+    # Divided differences of an integer polynomial at distinct integer
+    # nodes are integers (complete homogeneous symmetric polynomials of the
+    # nodes), so every division is exact exactly when the interpolating
+    # polynomial has integer coefficients.
     npts = len(xs)
-    # master = prod (T - x_j); master_i = master / (T - x_i) by synthetic
-    # division, so each Lagrange basis costs O(npts)
-    master = [Fraction(1)]
-    for x in xs:
-        master = [0] + master
-        for i in range(len(master) - 1):
-            master[i] -= x * master[i + 1]
-    coeffs = [Fraction(0)] * npts
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        quotient = [Fraction(0)] * npts
-        carry = master[npts]
-        for k in range(npts - 1, -1, -1):
-            quotient[k] = carry
-            carry = master[k] + xi * carry
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                denom *= xi - xj
-        scale = Fraction(yi, denom)
-        for k in range(npts):
-            coeffs[k] += scale * quotient[k]
-    out = []
-    for k, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise NonIntegralInterpolationError(
-                f"coefficient of T^{k} interpolated to {c}; degree bound violated"
-            )
-        out.append(c.numerator)
-    return IntPolynomial(out)
+    c = list(ys)
+    for k in range(1, npts):
+        for i in range(npts - 1, k - 1, -1):
+            q, rem = divmod(c[i] - c[i - 1], xs[i] - xs[i - k])
+            if rem:
+                raise NonIntegralInterpolationError(
+                    f"divided difference of order {k} is not an integer: "
+                    f"no integer polynomial of degree < {npts} fits the data"
+                )
+            c[i] = q
+    # Horner on the Newton form: c[0] + (T - x0)(c[1] + (T - x1)(...))
+    coeffs: list[int] = []
+    for i in range(npts - 1, -1, -1):
+        x = xs[i]
+        coeffs.append(0)
+        for k in range(len(coeffs) - 1, 0, -1):
+            coeffs[k] = coeffs[k - 1] - x * coeffs[k]
+        coeffs[0] = c[i] - x * coeffs[0]
+    return IntPolynomial(coeffs)

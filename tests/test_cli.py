@@ -4,17 +4,25 @@ import pytest
 
 from voltage_tower import (
     DirectedMultigraph,
+    IntPolynomial,
+    IwasawaInvariants,
+    TowerLevel,
+    TowerReport,
     bouquet,
     directed_cycle,
     underlying_undirected,
 )
-from voltage_tower.cli import main
+from voltage_tower import iwasawa
+from voltage_tower.cli import _report_table, main
 from voltage_tower.documents import (
     DocumentError,
+    decimal_str,
     graph_from_document,
     graph_to_document,
     graph_to_dot,
+    invariants_to_document,
     read_graph,
+    tower_report_to_document,
     write_graph,
 )
 
@@ -278,6 +286,60 @@ def test_verify_command(tmp_path, capsys):
     ]
     assert doc["exact_from_level"] == 0
     assert doc["fitted_nu"] == 0
+
+
+def test_verify_and_invariants_compute_the_charpoly_once(
+    tmp_path, capsys, monkeypatch
+):
+    src = tmp_path / "b.json"
+    write_graph(bouquet(2), str(src))
+    calls = []
+    real = iwasawa.char_poly
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(iwasawa, "char_poly", counting)
+    base = ["-i", str(src), "--p", "2"]
+    for argv in (
+        ["verify", *base, "--n-max", "3"],
+        ["verify", *base, "--n-max", "3", "--json"],
+        ["invariants", *base, "--n-max", "3"],
+        ["invariants", *base],
+    ):
+        calls.clear()
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert len(calls) == 1, argv
+
+
+def test_integers_past_the_int_str_digit_limit_serialise():
+    kappa = 10**5000
+    coeff = -(10**4999 + 7)
+    with pytest.raises(ValueError):
+        str(kappa)  # the interpreter's default int -> str limit
+    inv = IwasawaInvariants(2, 0, 0, 1, 0, 2, IntPolynomial((0, 0, coeff)))
+    report = TowerReport(
+        (TowerLevel(0, 1, kappa, 0, 0),), 0, 0, invariants=inv
+    )
+    kappa_digits = "1" + "0" * 5000
+    coeff_digits = "-1" + "0" * 4998 + "7"
+
+    doc = tower_report_to_document(report)
+    assert doc["levels"][0]["kappa_per_component"] == kappa_digits
+    doc = invariants_to_document(inv, report)
+    assert doc["charpoly"] == ["0", "0", coeff_digits]
+    assert doc["tower_report"]["levels"][0]["kappa_per_component"] == (
+        kappa_digits
+    )
+    json.dumps(doc)
+    assert kappa_digits in _report_table(report)
+
+
+def test_small_integers_keep_their_decimal_bytes():
+    for n in (0, 1, -1, 7, -12, 10**30, -(2**200), 10**4299):
+        assert decimal_str(n) == str(n)
 
 
 def test_verify_single_loop_bouquet(tmp_path, capsys):

@@ -9,6 +9,7 @@ from voltage_tower import (
     InvalidPrimeError,
     NoTowerError,
     NotConnectedError,
+    StructureViolationError,
     VolcanoSpec,
     ZeroPolynomialError,
     bouquet,
@@ -25,6 +26,9 @@ from voltage_tower import (
     volcano,
     weierstrass,
 )
+from voltage_tower import iwasawa
+
+from strategies import connected_multigraphs
 
 PRIMES = (2, 3, 5)
 
@@ -48,6 +52,34 @@ def test_char_poly_three_cycle_is_circulant_square():
 def test_char_poly_requires_connected():
     with pytest.raises(NotConnectedError):
         char_poly(DirectedMultigraph(2, ()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=connected_multigraphs())
+def test_char_poly_palindromy_and_double_root(g):
+    # Q(u) = P(u - 1) = u^r det(D - A u - A^t u^-1) satisfies
+    # Q(u) = u^(2r) Q(1/u), and T^2 | P(T) (double root at u = 1)
+    poly = char_poly(g)
+    u_minus_1 = IntPolynomial((-1, 1))
+    q = IntPolynomial()
+    for k, c in enumerate(poly):
+        q = q + (u_minus_1**k).scale(c)
+    r = g.vertex_count
+    assert q.degree <= 2 * r
+    coeffs = [q.coefficient(k) for k in range(2 * r + 1)]
+    assert coeffs == coeffs[::-1]
+    assert poly.coefficient(0) == 0
+    assert poly.coefficient(1) == 0
+
+
+def test_char_poly_rejects_a_linear_term(monkeypatch):
+    monkeypatch.setattr(
+        iwasawa,
+        "poly_matrix_determinant",
+        lambda entries, bound: IntPolynomial((0, 5, -1)),
+    )
+    with pytest.raises(StructureViolationError):
+        char_poly(directed_cycle(3))
 
 
 def test_weierstrass_examples():
@@ -208,6 +240,7 @@ def test_verify_growth_volcano():
     ]
     assert report.fitted_nu == 0
     assert report.exact_from_level == 0
+    assert report.invariants == invariants(v, 3)
 
 
 def test_verify_growth_three_cycle():

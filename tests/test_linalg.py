@@ -22,9 +22,12 @@ from voltage_tower import (
     underlying_undirected,
 )
 from voltage_tower import linalg
+from voltage_tower.backend import bareiss_determinant
+from voltage_tower.linalg import _default_points, _interpolate_integer
 from voltage_tower.linalg import _laplacian_rows
 
 from oracles import cofactor_determinant
+from strategies import connected_multigraphs
 
 
 def random_matrix(rng, n, lo=-9, hi=9):
@@ -214,24 +217,6 @@ def test_smith_normal_form_divisibility_chain():
         assert product == det
 
 
-@st.composite
-def connected_multigraphs(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    tree = [
-        (draw(st.integers(min_value=0, max_value=v - 1)), v)
-        for v in range(1, n)
-    ]
-    extra_count = draw(st.integers(min_value=0, max_value=5))
-    extra = [
-        (
-            draw(st.integers(min_value=0, max_value=n - 1)),
-            draw(st.integers(min_value=0, max_value=n - 1)),
-        )
-        for _ in range(extra_count)
-    ]
-    return DirectedMultigraph(n, tuple(tree + extra))
-
-
 @settings(max_examples=40, deadline=None)
 @given(g=connected_multigraphs())
 def test_kirchhoff_matches_brute_force_on_random_graphs(g):
@@ -263,21 +248,50 @@ def test_poly_matrix_determinant_examples():
     ) == P(-1, 0, 1)
 
 
-def test_poly_matrix_determinant_point_independence():
-    rng = random.Random(11)
-    entries = [
-        [P(*(rng.randint(-4, 4) for _ in range(3))) for _ in range(3)]
-        for _ in range(3)
-    ]
-    default = poly_matrix_determinant(entries, 6)
-    shifted = poly_matrix_determinant(entries, 6, points=list(range(3, 10)))
-    assert default == shifted
+small_polys = st.lists(
+    st.integers(min_value=-4, max_value=4), min_size=0, max_size=3
+).map(lambda cs: IntPolynomial(tuple(cs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entries=st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(small_polys, min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    x=st.integers(min_value=10, max_value=10**6) | st.integers(
+        min_value=-(10**6), max_value=-10
+    ),
+)
+def test_poly_matrix_determinant_agrees_off_the_nodes(entries, x):
+    # entries of degree <= 2 give a determinant of degree <= 2n, and the
+    # 2n + 1 nodes all lie in [-n, n]: x is not one of them
+    det = poly_matrix_determinant(entries, 2 * len(entries))
+    assert det(x) == bareiss_determinant(
+        [[e(x) for e in row] for row in entries]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.integers(min_value=-(10**30), max_value=10**30),
+        min_size=1,
+        max_size=20,
+    ),
+    extra=st.integers(min_value=0, max_value=5),
+)
+def test_interpolation_round_trips_big_coefficients(coeffs, extra):
+    poly = IntPolynomial(tuple(coeffs))
+    xs = _default_points(len(coeffs) + extra)
+    assert _interpolate_integer(xs, [poly(x) for x in xs]) == poly
 
 
 def test_interpolation_guard_rejects_non_polynomial_data():
     # data no integer polynomial of the allowed degree can produce
-    from voltage_tower.linalg import _interpolate_integer
-
     with pytest.raises(NonIntegralInterpolationError):
         _interpolate_integer((0, 1, 2), (0, 0, 1))
 
