@@ -27,7 +27,7 @@ class ZeroPolynomialError(VoltageTowerError):
 
 class NonIntegralInterpolationError(VoltageTowerError):
     """Interpolation data are not the values of an integer polynomial of
-    the stated degree bound."""
+    degree below the number of nodes."""
 
 
 class InvalidPrimeError(VoltageTowerError):

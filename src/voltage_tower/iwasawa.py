@@ -2,16 +2,17 @@
 
 The constant tower of a connected graph with r vertices has characteristic
 power series det(D - A(1+T) - A^t(1+T)^(-1)).  Multiplying every row by
-(1+T), a unit power series, clears the denominators and yields an honest
-integer polynomial P(T) of degree at most 2r; mu and lambda drop out of
-the p-adic valuations of its coefficients (Weierstrass preparation), and
-nu is fitted against spanning-tree counts climbing the tower.
+(1+T), a unit power series, clears the denominators and leaves a matrix
+polynomial of degree 2 with integer coefficient matrices, whose
+determinant is an honest integer polynomial P(T) of degree at most 2r;
+mu and lambda drop out of the p-adic valuations of its coefficients
+(Weierstrass preparation), and nu is fitted against spanning-tree counts
+climbing the tower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import is_prime, valuation
@@ -33,8 +34,8 @@ from .graph import (
     is_total_degree_constant,
     subgraph,
 )
-from .linalg import kirchhoff_count, poly_matrix_determinant
-from .polynomial import ONE_PLUS_T, IntPolynomial, constant
+from .linalg import _laplacian_rows, kirchhoff_count, poly_matrix_determinant
+from .polynomial import IntPolynomial
 from .tower import ConstantVoltage, derive, stabilization_level
 
 
@@ -81,10 +82,11 @@ class TowerReport:
 def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     """P(T) = (1+T)^r * det(D - A(1+T) - A^t(1+T)^(-1)), exactly.
 
-    Entry (i, j) of the cleared matrix is D_ij(1+T) - A_ij(1+T)^2 -
-    (A^t)_ij with D the total-degree diagonal (loops counted twice) and A
-    the adjacency matrix (loops once); every entry has degree at most 2,
-    so 2r + 1 integer determinants pin the polynomial down.
+    With D the total-degree diagonal (loops counted twice) and A the
+    adjacency matrix (loops once), the cleared matrix D(1+T) - A(1+T)^2 -
+    A^t is the matrix polynomial C_0 + C_1 T + C_2 T^2 with C_0 = D - A -
+    A^t (the Laplacian of the undirected image), C_1 = D - 2A and C_2 =
+    -A, so 2r + 1 integer determinants pin P(T) down.
 
     The cleared determinant is Q(u) = P(u - 1) with Q(u) = u^(2r) Q(1/u)
     (transpose M(1/u)) and Q(1) = det(Laplacian) = 0, so u = 1 is at least
@@ -95,19 +97,11 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     r = g.vertex_count
     prof = degree_profile(g)
     adj = adjacency_matrix(g)
-    u2 = ONE_PLUS_T * ONE_PLUS_T
-    entries: list[list[IntPolynomial]] = []
+    c1 = [[-2 * a for a in row] for row in adj]
     for i in range(r):
-        row = []
-        for j in range(r):
-            e = u2.scale(-adj[i][j]) - constant(adj[j][i])
-            if i == j:
-                e = e + ONE_PLUS_T.scale(prof.in_deg[i] + prof.out_deg[i])
-            if e.degree > 2:
-                raise StructureViolationError("matrix entry exceeds degree 2")
-            row.append(e)
-        entries.append(row)
-    p = poly_matrix_determinant(entries, 2 * r)
+        c1[i][i] += prof.in_deg[i] + prof.out_deg[i]
+    c2 = [[-a for a in row] for row in adj]
+    p = poly_matrix_determinant([_laplacian_rows(g), c1, c2])
     if p.coefficient(0) != 0 or p.coefficient(1) != 0:
         raise StructureViolationError(
             "characteristic polynomial is not divisible by T^2"
@@ -221,13 +215,12 @@ def fit_growth_parameters(
     det = a1 * b2 - a2 * b1
     if det == 0:
         return None
-    mu = Fraction(c1 * b2 - c2 * b1, det)
-    lam = Fraction(a1 * c2 - a2 * c1, det)
-    if mu.denominator != 1 or lam.denominator != 1:
+    mu, mu_rem = divmod(c1 * b2 - c2 * b1, det)
+    lam, lam_rem = divmod(a1 * c2 - a2 * c1, det)
+    if mu_rem or lam_rem:
         return None
-    mu_i, lam_i = int(mu), int(lam)
-    nu = y0 - mu_i * p**m0 - lam_i * m0
-    return mu_i, lam_i, nu
+    nu = y0 - mu * p**m0 - lam * m0
+    return mu, lam, nu
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Everything here is exact: determinants by fraction-free elimination,
 spanning-tree counts through the Laplacian, Smith normal form for Picard
-torsion, and polynomial-matrix determinants by evaluation at integer
-points followed by integer Newton interpolation.  No floating point
-anywhere; p-adic valuations downstream depend on it.
+torsion, and determinants of integer matrix polynomials by evaluation
+at integer points followed by integer Newton interpolation.  No
+floating point anywhere; p-adic valuations downstream depend on it.
 """
 
 from __future__ import annotations
@@ -222,26 +222,31 @@ def _default_points(count: int) -> list[int]:
 
 
 def poly_matrix_determinant(
-    entries: Sequence[Sequence[IntPolynomial]], degree_bound: int
+    coefficients: Sequence[Sequence[Sequence[int]]],
 ) -> IntPolynomial:
-    """Determinant of a square matrix of integer polynomials.
+    """Determinant of the matrix polynomial C_0 + C_1 T + ... + C_d T^d.
 
-    Evaluates the matrix at the ``degree_bound + 1`` integers 0, 1, -1, 2,
-    -2, ..., takes exact integer determinants, and recovers the
-    coefficients by Newton interpolation in integers.  The caller sizes
-    ``degree_bound``: too low a bound returns the remainder modulo the
-    product of (T - x) over the nodes, which is still integral.
+    The C_k are square integer matrices of one size n, so every entry has
+    degree at most d and the determinant degree at most n * d.  The sum is
+    evaluated at the n * d + 1 integers 0, 1, -1, 2, -2, ..., each
+    evaluation's determinant is taken exactly, and the coefficients are
+    recovered by Newton interpolation in integers.
     """
-    n = len(entries)
-    if any(len(row) != n for row in entries):
-        raise NotSquareError("polynomial matrix is not square")
-    if degree_bound < 0:
-        raise ValueError("degree_bound must be non-negative")
-    xs = _default_points(degree_bound + 1)
-    ys = [
-        bareiss_determinant([[e(x) for e in row] for row in entries])
-        for x in xs
-    ]
+    if not coefficients:
+        raise ValueError("need at least one coefficient matrix")
+    n = len(coefficients[0])
+    if any(
+        len(c) != n or any(len(row) != n for row in c) for c in coefficients
+    ):
+        raise NotSquareError("coefficient matrices are not square of one size")
+    xs = _default_points(n * (len(coefficients) - 1) + 1)
+    ys = []
+    for x in xs:
+        # Horner over the coefficient matrices, entry by entry
+        m = coefficients[-1]
+        for c in reversed(coefficients[:-1]):
+            m = [[a * x + b for a, b in zip(mr, cr)] for mr, cr in zip(m, c)]
+        ys.append(bareiss_determinant(m))
     return _interpolate_integer(xs, ys)
 
 

@@ -102,13 +102,3 @@ class IntPolynomial:
             else:
                 parts.append(f"{c}*T^{i}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-ZERO = IntPolynomial()
-ONE = IntPolynomial((1,))
-T = IntPolynomial((0, 1))
-ONE_PLUS_T = IntPolynomial((1, 1))
-
-
-def constant(c: int) -> IntPolynomial:
-    return IntPolynomial((c,))

@@ -12,10 +12,12 @@ from voltage_tower import (
     StructureViolationError,
     VolcanoSpec,
     ZeroPolynomialError,
+    adjacency_matrix,
     bouquet,
     char_poly,
     check_theorem_hypotheses,
     cycle_weight_profile,
+    degree_profile,
     directed_cycle,
     doubled,
     fit_growth_parameters,
@@ -27,6 +29,7 @@ from voltage_tower import (
     weierstrass,
 )
 from voltage_tower import iwasawa
+from voltage_tower.backend import bareiss_determinant
 
 from strategies import connected_multigraphs
 
@@ -72,11 +75,35 @@ def test_char_poly_palindromy_and_double_root(g):
     assert poly.coefficient(1) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(g=connected_multigraphs(), data=st.data())
+def test_char_poly_matches_the_cleared_matrix_off_the_nodes(g, data):
+    # the cleared matrix D(1+x) - A(1+x)^2 - A^t, built entry by entry;
+    # the 2r + 1 interpolation nodes all lie in [-r, r]
+    r = g.vertex_count
+    x = data.draw(
+        st.integers(min_value=r + 1, max_value=10**6)
+        | st.integers(min_value=-(10**6), max_value=-r - 1)
+    )
+    prof = degree_profile(g)
+    adj = adjacency_matrix(g)
+    cleared = [
+        [
+            (prof.in_deg[i] + prof.out_deg[i] if i == j else 0) * (1 + x)
+            - adj[i][j] * (1 + x) ** 2
+            - adj[j][i]
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
+    assert char_poly(g)(x) == bareiss_determinant(cleared)
+
+
 def test_char_poly_rejects_a_linear_term(monkeypatch):
     monkeypatch.setattr(
         iwasawa,
         "poly_matrix_determinant",
-        lambda entries, bound: IntPolynomial((0, 5, -1)),
+        lambda coefficients: IntPolynomial((0, 5, -1)),
     )
     with pytest.raises(StructureViolationError):
         char_poly(directed_cycle(3))
@@ -263,6 +290,13 @@ def test_fit_growth_parameters():
     assert fit_growth_parameters([(0, 0), (1, 1), (2, 2)], 5) == (0, 1, 0)
     with pytest.raises(ValueError):
         fit_growth_parameters([(0, 0)], 2)
+
+
+def test_fit_growth_parameters_without_an_integral_solution():
+    # at p = 3 through m = 0, 1, 2: det = -4 and mu = 1/4
+    assert fit_growth_parameters([(0, 0), (1, 1), (2, 3)], 3) is None
+    # a repeated m makes the system singular
+    assert fit_growth_parameters([(1, 0), (1, 0), (2, 1)], 2) is None
 
 
 def test_cross_validation_weierstrass_vs_tower_fit(tower_fit_matches):

@@ -242,37 +242,46 @@ def P(*coeffs):
 
 
 def test_poly_matrix_determinant_examples():
-    assert poly_matrix_determinant([[P(0, 0, -1)]], 2) == P(0, 0, -1)
+    # [[-T^2]] and [[1 + T, 0], [0, -1 + T]]
+    assert poly_matrix_determinant([[[0]], [[0]], [[-1]]]) == P(0, 0, -1)
     assert poly_matrix_determinant(
-        [[P(1, 1), P()], [P(), P(-1, 1)]], 2
+        [[[1, 0], [0, -1]], [[1, 0], [0, 1]]]
     ) == P(-1, 0, 1)
+    assert poly_matrix_determinant([[[7]]]) == P(7)
 
 
-small_polys = st.lists(
-    st.integers(min_value=-4, max_value=4), min_size=0, max_size=3
-).map(lambda cs: IntPolynomial(tuple(cs)))
+def square_matrices(n):
+    return st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    entries=st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(
-            st.lists(small_polys, min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
+    coefficients=st.tuples(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=3),
+    ).flatmap(
+        lambda nd: st.lists(
+            square_matrices(nd[0]), min_size=nd[1] + 1, max_size=nd[1] + 1
         )
     ),
     x=st.integers(min_value=10, max_value=10**6) | st.integers(
         min_value=-(10**6), max_value=-10
     ),
 )
-def test_poly_matrix_determinant_agrees_off_the_nodes(entries, x):
-    # entries of degree <= 2 give a determinant of degree <= 2n, and the
-    # 2n + 1 nodes all lie in [-n, n]: x is not one of them
-    det = poly_matrix_determinant(entries, 2 * len(entries))
-    assert det(x) == bareiss_determinant(
-        [[e(x) for e in row] for row in entries]
-    )
+def test_poly_matrix_determinant_agrees_off_the_nodes(coefficients, x):
+    # n x n coefficients of degree d <= 3 give a determinant of degree
+    # <= n d <= 12, whose n d + 1 nodes all lie in [-6, 6]: x is not one
+    n = len(coefficients[0])
+    evaluated = [
+        [sum(c[i][j] * x**k for k, c in enumerate(coefficients)) for j in range(n)]
+        for i in range(n)
+    ]
+    det = poly_matrix_determinant(coefficients)
+    assert det(x) == bareiss_determinant(evaluated)
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,13 +305,10 @@ def test_interpolation_guard_rejects_non_polynomial_data():
         _interpolate_integer((0, 1, 2), (0, 0, 1))
 
 
-def test_degree_violation_wraps_to_remainder():
-    # with too low a bound the result is the remainder modulo the point
-    # polynomial, still integral; the charpoly caller sizes the bound so
-    # this cannot happen there
-    assert poly_matrix_determinant([[P(0, 0, 0, 1)]], 2) == P(0, 1)
-
-
 def test_poly_matrix_determinant_rejects_non_square():
     with pytest.raises(NotSquareError):
-        poly_matrix_determinant([[P(1)], [P(1)]], 1)
+        poly_matrix_determinant([[[1], [1]]])
+    with pytest.raises(NotSquareError):
+        poly_matrix_determinant([[[1]], [[1, 0], [0, 1]]])
+    with pytest.raises(ValueError):
+        poly_matrix_determinant([])
