@@ -3,7 +3,7 @@
 Build derived graphs of constant voltage assignments, compute the Iwasawa
 invariants (mu, lambda, n0, nu) of the resulting towers from an exact
 integer characteristic polynomial, and verify the p-adic spanning-tree
-growth law against brute-force tower data.
+growth law against the spanning-tree counts of the tower.
 """
 
 from .errors import (
@@ -67,6 +67,7 @@ from .iwasawa import (
 from .linalg import (
     IntMatrix,
     brute_force_spanning_trees,
+    cyclotomic_resultants,
     determinant,
     kirchhoff_count,
     poly_matrix_determinant,

@@ -3,7 +3,8 @@
 Subcommands: gen, derive, invariants, verify, export-dot, oracle.  Data
 goes to stdout or the -o path; diagnostics go to stderr.  Exit codes:
 0 success, 2 invalid parameters or malformed input, 3 non-unit parameter,
-4 no tower exists, 5 growth-law mismatch, 6 oracle cap exceeded.
+4 no tower exists, 5 growth-law mismatch, 6 size cap exceeded (the
+oracle's edge cap or the derived-vertex cap).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ EXIT_USAGE = 2
 EXIT_NON_UNIT = 3
 EXIT_NO_TOWER = 4
 EXIT_GROWTH_MISMATCH = 5
-EXIT_ORACLE_CAP = 6
+EXIT_SIZE_CAP = 6
 
 
 def _fail(code: int, message: str) -> int:
@@ -269,7 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return _fail(EXIT_NO_TOWER, f"{exc} ({detail})")
     except TooLargeError as exc:
-        return _fail(EXIT_ORACLE_CAP, str(exc))
+        return _fail(EXIT_SIZE_CAP, str(exc))
     except OSError as exc:
         return _fail(EXIT_USAGE, str(exc))
 

@@ -18,7 +18,8 @@ class NotSquareError(VoltageTowerError):
 
 
 class TooLargeError(VoltageTowerError):
-    """Input exceeds a hard cap of a brute-force oracle."""
+    """Input exceeds a hard size cap: the brute-force oracle's edge cap or
+    the derived-vertex cap of a tower."""
 
 
 class ZeroPolynomialError(VoltageTowerError):

@@ -8,6 +8,13 @@ determinant is an honest integer polynomial P(T) of degree at most 2r;
 mu and lambda drop out of the p-adic valuations of its coefficients
 (Weierstrass preparation), and nu is fitted against spanning-tree counts
 climbing the tower.
+
+The same polynomial gives those counts.  With Q(x) = P(x - 1) and
+q = p^n0, the level-n Laplacian splits over the characters of Z/p^n, and
+the per-component count kappa_n at every level n >= n0 follows from the
+level-n0 count and cyclotomic resultants:
+
+    kappa_n^q = (q kappa_n0 / p^n)^q prod_{k=n0+1..n} |Res(Phi_{p^k}, Q)|.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import is_prime, valuation
+from .arith import integer_root, is_prime, valuation
 from .errors import (
     InvalidPrimeError,
     NoTowerError,
@@ -34,9 +41,19 @@ from .graph import (
     is_total_degree_constant,
     subgraph,
 )
-from .linalg import _laplacian_rows, kirchhoff_count, poly_matrix_determinant
+from .linalg import (
+    _laplacian_rows,
+    cyclotomic_resultants,
+    kirchhoff_count,
+    poly_matrix_determinant,
+)
 from .polynomial import IntPolynomial
-from .tower import ConstantVoltage, derive, stabilization_level
+from .tower import (
+    ConstantVoltage,
+    check_derived_size,
+    derive,
+    stabilization_level,
+)
 
 
 @dataclass(frozen=True)
@@ -168,23 +185,49 @@ def verify_growth(
     """Climb the tower and check ord_p(kappa_n) = mu p^m + lam m + nu.
 
     kappa_n counts spanning trees of one tower component at level n and
-    m = n - n0 indexes the tower from its connected base.  nu is fitted at
-    the top level and back-checked downward; ``exact_from_level`` is the
-    least level from which the identity holds on all recorded data.  The
-    report carries ``invariants(g, p)``, computed once here.
+    m = n - n0 indexes the tower from its connected base.  Only the level-n0
+    derived graph is built: its q = p^n0 components give kappa_n0 by one
+    Kirchhoff determinant.  Above n0 the component count stays q and the
+    Laplacian splits over the characters of Z/p^n, whose primitive
+    p^k-th-root part multiplies to |Res(Phi_{p^k}, Q)| with Q(x) = P(x - 1):
+
+        kappa_n^q = (q kappa_n0 / p^n)^q prod_{k=n0+1..n} |Res(Phi_{p^k}, Q)|,
+
+    so kappa_n^q = kappa_{n-1}^q |Res(Phi_{p^n}, Q)| / p^q, an exact division
+    followed by an exact integer q-th root.  nu is fitted at the top level
+    and back-checked downward; ``exact_from_level`` is the least level from
+    which the identity holds on all recorded data.  The report carries
+    ``invariants(g, p)``, computed once here.
     """
+    voltage = ConstantVoltage(p)  # p is prime before the size check runs
+    check_derived_size(g.vertex_count, p, n_max)
     inv = invariants(g, p)
     n0 = inv.n0
     if n_max < n0 + 2:
         raise ValueError(f"n_max must be at least n0 + 2 = {n0 + 2}")
-    voltage = ConstantVoltage(p)
-    records = []
-    for n in range(n0, n_max + 1):
-        derived = derive(g, voltage, n)
-        comps = components(derived.graph)
-        anchor = next(c for c in comps if c[0] == 0)
-        kappa = kirchhoff_count(subgraph(derived.graph, anchor))
-        records.append((n, len(comps), kappa, valuation(kappa, p)))
+    q = p**n0
+    derived = derive(g, voltage, n0)
+    comps = components(derived.graph)
+    if len(comps) != q:
+        raise StructureViolationError(
+            f"{len(comps)} components at level n0, expected p^n0 = {q}"
+        )
+    anchor = next(c for c in comps if c[0] == 0)
+    kappa = kirchhoff_count(subgraph(derived.graph, anchor))
+    records = [(n0, q, kappa, valuation(kappa, p))]
+    shifted = IntPolynomial()
+    for coeff in reversed(inv.charpoly.coefficients):
+        shifted = shifted * IntPolynomial((-1, 1)) + IntPolynomial((coeff,))
+    kappa_power = kappa**q
+    resultants = cyclotomic_resultants(shifted, p, n0 + 1, n_max)
+    for n, res in enumerate(resultants, n0 + 1):
+        kappa_power, rem = divmod(kappa_power * res, p**q)
+        kappa = integer_root(kappa_power, q)
+        if res == 0 or rem or kappa**q != kappa_power:
+            raise StructureViolationError(
+                f"level {n}: |Res(Phi_{p}^{n}, Q)| gives no integer kappa"
+            )
+        records.append((n, q, kappa, valuation(kappa, p)))
     m_max = n_max - n0
     nu = records[-1][3] - inv.mu * p**m_max - inv.lam * m_max
     levels = []

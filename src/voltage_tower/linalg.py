@@ -2,9 +2,11 @@
 
 Everything here is exact: determinants by fraction-free elimination,
 spanning-tree counts through the Laplacian, Smith normal form for Picard
-torsion, and determinants of integer matrix polynomials by evaluation
-at integer points followed by integer Newton interpolation.  No
-floating point anywhere; p-adic valuations downstream depend on it.
+torsion, determinants of integer matrix polynomials by evaluation at
+integer points followed by integer Newton interpolation, and resultants
+of an integer polynomial against the cyclotomic polynomials Phi_{p^k}
+through powers of its scaled companion matrix.  No floating point
+anywhere; p-adic valuations downstream depend on it.
 """
 
 from __future__ import annotations
@@ -13,18 +15,24 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .arith import is_prime
 from .backend import bareiss_determinant
 from .errors import (
+    InvalidPrimeError,
     NonIntegralInterpolationError,
     NotConnectedError,
     NotSquareError,
     StructureViolationError,
     TooLargeError,
+    ZeroPolynomialError,
 )
 from .graph import DirectedMultigraph, is_connected
 from .polynomial import IntPolynomial
 
 BRUTE_FORCE_EDGE_CAP = 16
+# Derived vertices r * p^n a derived graph or a tower climb may reach; the
+# work grows with it whether the levels are built or read off resultants.
+DERIVED_VERTEX_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -275,3 +283,83 @@ def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
             coeffs[k] = coeffs[k - 1] - x * coeffs[k]
         coeffs[0] = c[i] - x * coeffs[0]
     return IntPolynomial(coeffs)
+
+
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _matrix_power(a: list[list[int]], e: int) -> list[list[int]]:
+    # binary powering, e >= 1
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else _matmul(result, a)
+        e >>= 1
+        if e:
+            a = _matmul(a, a)
+    return result
+
+
+def cyclotomic_resultants(
+    poly: IntPolynomial, p: int, first: int, last: int
+) -> list[int]:
+    """|Res(Phi_{p^k}, Q)| for k = first..last (first >= 1), in integers.
+
+    With c the leading coefficient of Q and m its degree, M = c *
+    companion(Q / c) is the integer m x m matrix with c on the subdiagonal
+    and -q_i in the last column; the roots of Q are the eigenvalues of
+    M / c.  Phi_{p^k}(x) = sum_{j<p} x^(js) with s = p^(k-1) has degree
+    N = (p - 1)s, so clearing c^N from Phi_{p^k}(M / c) gives
+
+        Res(Phi_{p^k}, Q) = +-c^N prod_{Q(a) = 0} Phi_{p^k}(a)
+                          = +-det(sum_{j<p} c^((p-1-j)s) M^(js)) / c^(N(m-1)).
+
+    Each level costs p - 1 matrix products and one m x m Bareiss
+    determinant: the p-th power of this level's M^s is the next level's.
+    The division is exact by the identity, so a remainder raises
+    StructureViolationError.
+    """
+    if not is_prime(p):
+        raise InvalidPrimeError(f"{p} is not prime")
+    if first < 1:
+        raise ValueError("cyclotomic levels start at 1")
+    if poly.is_zero:
+        raise ZeroPolynomialError("resultant against the zero polynomial")
+    coeffs = poly.coefficients
+    m = poly.degree
+    c = coeffs[-1]
+    companion = [[c if j == i - 1 else 0 for j in range(m)] for i in range(m)]
+    for i in range(m):
+        companion[i][m - 1] = -coeffs[i]
+    power = _matrix_power(companion, p ** (first - 1))
+    out = []
+    for k in range(first, last + 1):
+        s = p ** (k - 1)
+        a = c**s
+        total = [
+            [a ** (p - 1) if i == j else 0 for j in range(m)] for i in range(m)
+        ]
+        step = power  # M^(js), j = 1..p-1, then M^(ps) for the next level
+        for j in range(1, p):
+            scale = a ** (p - 1 - j)
+            total = [
+                [t + scale * x for t, x in zip(t_row, x_row)]
+                for t_row, x_row in zip(total, step)
+            ]
+            if j < p - 1 or k < last:
+                step = _matmul(step, power)
+        power = step
+        n_deg = (p - 1) * s
+        # det * c^N / c^(N m) is the docstring's det / c^(N(m-1)), and also
+        # holds for a constant Q (m = 0, empty determinant 1)
+        value, rem = divmod(
+            bareiss_determinant(total) * c**n_deg, c ** (n_deg * m)
+        )
+        if rem:
+            raise StructureViolationError(
+                f"resultant against Phi_{p}^{k} is not an integer"
+            )
+        out.append(abs(value))
+    return out

@@ -19,6 +19,7 @@ from .errors import (
     NoTowerError,
     NotAUnitError,
     StructureViolationError,
+    TooLargeError,
 )
 from .graph import (
     CycleWeightProfile,
@@ -27,6 +28,7 @@ from .graph import (
     cycle_weight_profile,
     subgraph,
 )
+from .linalg import DERIVED_VERTEX_CAP
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,21 @@ class DerivedGraph:
         return self.graph.vertex_count // self.base_vertex_count
 
 
+def check_derived_size(base_vertices: int, p: int, n: int) -> None:
+    """Raise TooLargeError when base_vertices * p^n exceeds
+    DERIVED_VERTEX_CAP, without computing p^n for a huge n (p >= 2)."""
+    size = base_vertices
+    for _ in range(n):
+        if size == 0 or size > DERIVED_VERTEX_CAP:
+            break
+        size *= p
+    if size > DERIVED_VERTEX_CAP:
+        raise TooLargeError(
+            f"{base_vertices} * {p}^{n} derived vertices exceed the cap of "
+            f"{DERIVED_VERTEX_CAP}"
+        )
+
+
 def derive(
     base: DirectedMultigraph, voltage: ConstantVoltage, n: int
 ) -> DerivedGraph:
@@ -69,6 +86,7 @@ def derive(
     """
     if n < 0:
         raise ValueError("level must be non-negative")
+    check_derived_size(base.vertex_count, voltage.p, n)
     if n == 0:
         return DerivedGraph(base, base.vertex_count, 0)
     modulus = voltage.p**n

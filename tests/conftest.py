@@ -3,20 +3,26 @@ import random
 import pytest
 
 from voltage_tower import (
+    ConstantVoltage,
     CraterSpec,
     DirectedMultigraph,
     VolcanoSpec,
     bouquet,
+    component_count,
     cycle_weight_profile,
+    derive,
     directed_cycle,
     doubled,
     fit_growth_parameters,
     invariants,
     is_connected,
+    kirchhoff_count,
     stabilization_level,
+    tower_component,
     verify_growth,
     volcano,
 )
+from voltage_tower.arith import valuation
 
 CROSS_VALIDATION_PRIMES = (2, 3, 5)
 
@@ -82,16 +88,32 @@ def corpus() -> list[DirectedMultigraph]:
 def fit_matches_weierstrass(g, p, budget_vertices=1600):
     """Climb the tower until the top-three-level fit reproduces the
     Weierstrass pair; the growth law is asymptotic, so low levels may
-    precede the exact regime."""
+    precede the exact regime.
+
+    Each level's kappa comes from the Laplacian of the tower component, not
+    from ``verify_growth``, whose resultant kappa is built from P(T) itself
+    and so could not check P(T)'s Weierstrass data.  At every n_max climbed,
+    ``verify_growth`` must report the same levels."""
     profile = cycle_weight_profile(g)
     n0 = stabilization_level(profile, p)
     assert n0 is not None
     inv = invariants(g, p)
-    for n_max in range(n0 + 2, n0 + 8):
-        if g.vertex_count * p**n_max > budget_vertices:
+    voltage = ConstantVoltage(p)
+    levels = []
+    for n in range(n0, n0 + 8):
+        if g.vertex_count * p**n > budget_vertices:
             return False
-        report = verify_growth(g, p, n_max)
-        points = [(lvl.n - n0, lvl.ord_p) for lvl in report.levels]
+        kappa = kirchhoff_count(tower_component(g, voltage, n))
+        count = component_count(derive(g, voltage, n).graph)
+        levels.append((n, count, kappa, valuation(kappa, p)))
+        if n < n0 + 2:
+            continue
+        report = verify_growth(g, p, n)
+        assert [
+            (lvl.n, lvl.component_count, lvl.kappa_per_component, lvl.ord_p)
+            for lvl in report.levels
+        ] == levels, (g.name, p, n)
+        points = [(level - n0, ord_p) for level, _, _, ord_p in levels]
         fitted = fit_growth_parameters(points, p)
         if fitted is not None and fitted[:2] == (inv.mu, inv.lam):
             return True

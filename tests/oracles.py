@@ -62,3 +62,26 @@ def cycle_weight_gcd(g: DirectedMultigraph):
     for w in weights:
         gcd = math.gcd(gcd, w)
     return gcd
+
+
+def sylvester_matrix(f, g):
+    """Sylvester matrix of two polynomials given by ascending coefficients;
+    its determinant is the resultant Res(f, g)."""
+    n, m = len(f) - 1, len(g) - 1
+    rows = []
+    for coeffs, shifts in ((f, m), (g, n)):
+        for i in range(shifts):
+            row = [0] * (n + m)
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            rows.append(row)
+    return rows
+
+
+def cyclotomic_prime_power(p: int, k: int) -> list:
+    """Ascending coefficients of Phi_{p^k}(x) = sum_{j<p} x^(j p^(k-1))."""
+    s = p ** (k - 1)
+    coeffs = [0] * ((p - 1) * s + 1)
+    for j in range(p):
+        coeffs[j * s] = 1
+    return coeffs

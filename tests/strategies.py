@@ -21,3 +21,31 @@ def connected_multigraphs(draw):
         for _ in range(extra_count)
     ]
     return DirectedMultigraph(n, tuple(tree + extra))
+
+
+@st.composite
+def weights_divisible_by(draw, p):
+    """Connected multigraphs whose every cycle weight is divisible by p.
+
+    Each vertex gets a height mod p and every edge s -> t climbs one step,
+    h(t) = h(s) + 1 mod p, so a closed walk (forward minus backward edges)
+    returns to its height only after a multiple of p net steps.  A graph
+    drawn here that has a tower therefore has n0 >= 1.
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    height = [0]
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        if draw(st.booleans()):
+            edges.append((u, v))
+            height.append((height[u] + 1) % p)
+        else:
+            edges.append((v, u))
+            height.append((height[u] - 1) % p)
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        s = draw(st.integers(min_value=0, max_value=n - 1))
+        targets = [t for t in range(n) if (height[t] - height[s]) % p == 1]
+        if targets:
+            edges.append((s, draw(st.sampled_from(targets))))
+    return DirectedMultigraph(n, tuple(edges))

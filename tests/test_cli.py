@@ -12,7 +12,7 @@ from voltage_tower import (
     directed_cycle,
     underlying_undirected,
 )
-from voltage_tower import iwasawa
+from voltage_tower import iwasawa, tower
 from voltage_tower.cli import _report_table, main
 from voltage_tower.documents import (
     DocumentError,
@@ -312,6 +312,52 @@ def test_verify_and_invariants_compute_the_charpoly_once(
         code, _, _ = run(argv, capsys)
         assert code == 0
         assert len(calls) == 1, argv
+
+
+def test_verify_builds_one_level_whatever_n_max(tmp_path, capsys, monkeypatch):
+    # n0 = 1 for the 3-cycle at p = 3: one derived graph at level n0 and
+    # one Kirchhoff count; every higher level comes from a resultant
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    derived_levels = []
+    kirchhoff_calls = []
+    real_derive = tower.derive
+    real_kirchhoff = iwasawa.kirchhoff_count
+
+    def counting_derive(base, voltage, n):
+        derived_levels.append(n)
+        return real_derive(base, voltage, n)
+
+    def counting_kirchhoff(g, *args):
+        kirchhoff_calls.append(g)
+        return real_kirchhoff(g, *args)
+
+    monkeypatch.setattr(tower, "derive", counting_derive)
+    monkeypatch.setattr(iwasawa, "derive", counting_derive)
+    monkeypatch.setattr(iwasawa, "kirchhoff_count", counting_kirchhoff)
+    for n_max in (3, 4, 6):
+        derived_levels.clear()
+        kirchhoff_calls.clear()
+        argv = ["verify", "-i", str(src), "--p", "3", "--n-max", str(n_max)]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        assert derived_levels == [1], n_max
+        assert len(kirchhoff_calls) == 1, n_max
+
+
+def test_size_cap_exits_6_at_once(tmp_path, capsys):
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    for argv in (
+        ["derive", "-i", str(src), "--p", "2", "--level", "40"],
+        ["derive", "-i", str(src), "--p", "3", "--level", "1000000000"],
+        ["verify", "-i", str(src), "--p", "1000003", "--n-max", "2"],
+        ["invariants", "-i", str(src), "--p", "2", "--n-max", "40"],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 6, argv
+        assert stdout == ""
+        assert "exceed the cap" in err
 
 
 def test_integers_past_the_int_str_digit_limit_serialise():

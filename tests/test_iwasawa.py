@@ -1,15 +1,20 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from voltage_tower import (
+    ConstantVoltage,
     CraterSpec,
     DirectedMultigraph,
+    IntMatrix,
     IntPolynomial,
     InvalidPrimeError,
     NoTowerError,
     NotConnectedError,
     StructureViolationError,
+    TooLargeError,
     VolcanoSpec,
     ZeroPolynomialError,
     adjacency_matrix,
@@ -23,15 +28,18 @@ from voltage_tower import (
     fit_growth_parameters,
     invariants,
     kirchhoff_count,
+    smith_normal_form,
     stabilization_level,
+    tower_component,
     verify_growth,
     volcano,
     weierstrass,
 )
 from voltage_tower import iwasawa
 from voltage_tower.backend import bareiss_determinant
+from voltage_tower.linalg import _laplacian_rows
 
-from strategies import connected_multigraphs
+from strategies import connected_multigraphs, weights_divisible_by
 
 PRIMES = (2, 3, 5)
 
@@ -281,6 +289,47 @@ def test_verify_growth_three_cycle():
 def test_verify_growth_validates_n_max():
     with pytest.raises(ValueError):
         verify_growth(directed_cycle(3), 3, 2)  # n0 = 1 needs n_max >= 3
+
+
+def test_verify_growth_caps_the_top_level():
+    # 3 * 2^(10^6) derived vertices: refused before any work
+    with pytest.raises(TooLargeError):
+        verify_growth(directed_cycle(3), 2, 10**6)
+    with pytest.raises(TooLargeError):
+        verify_growth(directed_cycle(3), 1000003, 2)
+
+
+def _smith_form_product(g: DirectedMultigraph) -> int:
+    reduced = [row[1:] for row in _laplacian_rows(g)[1:]]
+    matrix = IntMatrix.from_rows(reduced) if reduced else IntMatrix(0, 0, ())
+    return math.prod(smith_normal_form(matrix))
+
+
+@pytest.mark.parametrize(
+    "graphs, min_n0",
+    [(lambda p: connected_multigraphs(), 0), (weights_divisible_by, 1)],
+    ids=["any-weights", "weights-divisible-by-p"],
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_resultant_kappa_matches_the_laplacian_and_smith_form(
+    graphs, min_n0, data
+):
+    # kappa above n0 comes from cyclotomic resultants of P(T); the tower
+    # component's Laplacian (Kirchhoff, then Smith normal form) is the oracle
+    p = data.draw(st.sampled_from((2, 3)))
+    g = data.draw(graphs(p))
+    n0 = stabilization_level(cycle_weight_profile(g), p)
+    assume(n0 is not None)
+    assert n0 >= min_n0
+    n_max = data.draw(st.integers(min_value=n0 + 2, max_value=max(n0 + 2, 3)))
+    report = verify_growth(g, p, n_max)
+    assert [lvl.n for lvl in report.levels] == list(range(n0, n_max + 1))
+    for lvl in report.levels:
+        comp = tower_component(g, ConstantVoltage(p), lvl.n)
+        assert lvl.component_count == p**n0
+        assert lvl.kappa_per_component == kirchhoff_count(comp)
+        assert lvl.kappa_per_component == _smith_form_product(comp)
 
 
 def test_fit_growth_parameters():

@@ -8,12 +8,15 @@ from voltage_tower import (
     DirectedMultigraph,
     IntMatrix,
     IntPolynomial,
+    InvalidPrimeError,
     NonIntegralInterpolationError,
     NotConnectedError,
     NotSquareError,
     StructureViolationError,
     TooLargeError,
+    ZeroPolynomialError,
     brute_force_spanning_trees,
+    cyclotomic_resultants,
     determinant,
     directed_cycle,
     kirchhoff_count,
@@ -26,7 +29,11 @@ from voltage_tower.backend import bareiss_determinant
 from voltage_tower.linalg import _default_points, _interpolate_integer
 from voltage_tower.linalg import _laplacian_rows
 
-from oracles import cofactor_determinant
+from oracles import (
+    cofactor_determinant,
+    cyclotomic_prime_power,
+    sylvester_matrix,
+)
 from strategies import connected_multigraphs
 
 
@@ -312,3 +319,52 @@ def test_poly_matrix_determinant_rejects_non_square():
         poly_matrix_determinant([[[1]], [[1, 0], [0, 1]]])
     with pytest.raises(ValueError):
         poly_matrix_determinant([])
+
+
+def test_cyclotomic_resultant_examples():
+    # Res(Phi_{p^k}, x - a) = Phi_{p^k}(a): Phi_3(2) = 7, Phi_9(2) = 73
+    assert cyclotomic_resultants(IntPolynomial((-2, 1)), 3, 1, 2) == [7, 73]
+    # non-monic: prod (2 zeta - 1) = 2^N Phi_{2^k}(1/2) = 3, 5, 17
+    assert cyclotomic_resultants(IntPolynomial((-1, 2)), 2, 1, 3) == [3, 5, 17]
+    assert cyclotomic_resultants(IntPolynomial((-1, 2)), 2, 3, 3) == [17]
+    # Q(0) = 0: the root 0 contributes Phi(0) = 1
+    assert cyclotomic_resultants(IntPolynomial((0, -2, 1)), 3, 1, 2) == [7, 73]
+    # a constant c gives c^N
+    assert cyclotomic_resultants(IntPolynomial((3,)), 2, 1, 3) == [3, 9, 81]
+    assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 2, 1) == []
+
+
+def test_cyclotomic_resultants_validate_arguments():
+    q = IntPolynomial((-2, 1))
+    with pytest.raises(ValueError):
+        cyclotomic_resultants(q, 2, 0, 2)
+    with pytest.raises(InvalidPrimeError):
+        cyclotomic_resultants(q, 4, 1, 2)
+    with pytest.raises(ZeroPolynomialError):
+        cyclotomic_resultants(IntPolynomial(), 2, 1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    st.integers(-3, 3).filter(lambda c: c != 0),
+    st.sampled_from(((2, 3), (3, 2), (5, 1))),
+    st.data(),
+)
+def test_cyclotomic_resultants_match_the_sylvester_determinant(
+    low, lead, prime_and_top, data
+):
+    # Q has degree 1..4, any leading coefficient (monic or not) and any
+    # constant term (Q(0) = 0 included)
+    coeffs = low + [lead]
+    p, top = prime_and_top
+    first = data.draw(st.integers(1, top))
+    expected = [
+        abs(
+            bareiss_determinant(
+                sylvester_matrix(cyclotomic_prime_power(p, k), coeffs)
+            )
+        )
+        for k in range(first, top + 1)
+    ]
+    assert cyclotomic_resultants(IntPolynomial(coeffs), p, first, top) == expected

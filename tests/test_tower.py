@@ -6,6 +6,7 @@ from voltage_tower import (
     InvalidPrimeError,
     NoTowerError,
     NotAUnitError,
+    TooLargeError,
     bouquet,
     component_count,
     cycle_weight_profile,
@@ -20,6 +21,8 @@ from voltage_tower import (
     tower_component,
 )
 from voltage_tower.graph import components
+from voltage_tower.linalg import DERIVED_VERTEX_CAP
+from voltage_tower.tower import check_derived_size
 
 PRIMES = (2, 3, 5)
 
@@ -192,6 +195,19 @@ def test_tower_component_requires_tower_and_unit():
     assert exc.value.reason == "zero-weight-gcd"
     with pytest.raises(NotAUnitError):
         tower_component(directed_cycle(3), ConstantVoltage(3, 6), 1)
+
+
+def test_derived_size_cap():
+    half = DERIVED_VERTEX_CAP // 2
+    check_derived_size(DERIVED_VERTEX_CAP, 2, 0)
+    check_derived_size(half, 2, 1)
+    check_derived_size(0, 2, 10**9)  # an empty base stays empty
+    with pytest.raises(TooLargeError):
+        check_derived_size(half + 1, 2, 1)
+    with pytest.raises(TooLargeError):
+        check_derived_size(3, 2, 10**18)  # refused without computing 2^n
+    with pytest.raises(TooLargeError):
+        derive(directed_cycle(3), ConstantVoltage(2), 40)
 
 
 def test_non_unit_parameter_splits_level_one(corpus):
