@@ -4,9 +4,10 @@ Everything here is exact: determinants by fraction-free elimination,
 spanning-tree counts through the Laplacian, Smith normal form for Picard
 torsion, determinants of integer matrix polynomials by evaluation at
 integer points followed by integer Newton interpolation, and resultants
-of an integer polynomial against the cyclotomic polynomials Phi_{p^k}
-through powers of its scaled companion matrix.  No floating point
-anywhere; p-adic valuations downstream depend on it.
+of an integer polynomial against the cyclotomic polynomials Phi_{p^k} by
+root powering: one Newton-identity step and one (p-1) x (p-1)
+determinant per k.  No floating point anywhere; p-adic valuations
+downstream depend on it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .graph import DirectedMultigraph, is_connected
 from .polynomial import IntPolynomial
 
 BRUTE_FORCE_EDGE_CAP = 16
-# Derived vertices r * p^n a derived graph or a tower climb may reach; the
-# work grows with it whether the levels are built or read off resultants.
-DERIVED_VERTEX_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -285,21 +283,31 @@ def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _matrix_power(a: list[list[int]], e: int) -> list[list[int]]:
-    # binary powering, e >= 1
-    result = None
-    while e:
-        if e & 1:
-            result = a if result is None else _matmul(result, a)
-        e >>= 1
-        if e:
-            a = _matmul(a, a)
-    return result
+def _root_power(f: list[int], p: int) -> list[int]:
+    # f = c prod (x - r), ascending, to c^p prod (x - r^p).  The monic
+    # c^(m-1) f(x / c) = x^m + a_1 x^(m-1) + ... + a_m has the algebraic-
+    # integer roots c r; Newton's identities give their power sums s_j and,
+    # from s_p, s_2p, ..., the coefficients b_k of prod (x - (c r)^p).
+    # b_k / c^(p(k-1)) is an integer, for c^p prod (x^p - r^p) is
+    # +-prod_{w^p = 1} f(w x).
+    m, c = len(f) - 1, f[-1]
+    a = [1] + [f[m - i] * c ** (i - 1) for i in range(1, m + 1)]
+    s = [m]
+    for j in range(1, p * m + 1):
+        total = sum(a[i] * s[j - i] for i in range(1, min(j, m + 1)))
+        s.append(-total - (j * a[j] if j <= m else 0))
+    b = [1]
+    out = [c**p]  # descending
+    for k in range(1, m + 1):
+        b_k, rem = divmod(-sum(b[i] * s[p * (k - i)] for i in range(k)), k)
+        coeff, rem_c = divmod(b_k, c ** (p * (k - 1)))
+        if rem or rem_c:
+            raise StructureViolationError(
+                f"root-power step: coefficient of x^{m - k} is not an integer"
+            )
+        b.append(b_k)
+        out.append(coeff)
+    return out[::-1]
 
 
 def cyclotomic_resultants(
@@ -307,19 +315,17 @@ def cyclotomic_resultants(
 ) -> list[int]:
     """|Res(Phi_{p^k}, Q)| for k = first..last (first >= 1), in integers.
 
-    With c the leading coefficient of Q and m its degree, M = c *
-    companion(Q / c) is the integer m x m matrix with c on the subdiagonal
-    and -q_i in the last column; the roots of Q are the eigenvalues of
-    M / c.  Phi_{p^k}(x) = sum_{j<p} x^(js) with s = p^(k-1) has degree
-    N = (p - 1)s, so clearing c^N from Phi_{p^k}(M / c) gives
+    Let Q_j = c^(p^j) prod (x - a^(p^j)) over the roots a of Q = c prod
+    (x - a).  Since Phi_{p^k}(x) = Phi_p(x^(p^(k-1))),
 
-        Res(Phi_{p^k}, Q) = +-c^N prod_{Q(a) = 0} Phi_{p^k}(a)
-                          = +-det(sum_{j<p} c^((p-1-j)s) M^(js)) / c^(N(m-1)).
+        |Res(Phi_{p^k}, Q)| = |Res(Phi_p, Q_{k-1})|,
 
-    Each level costs p - 1 matrix products and one m x m Bareiss
-    determinant: the p-th power of this level's M^s is the next level's.
-    The division is exact by the identity, so a remainder raises
-    StructureViolationError.
+    the determinant of multiplication by Q_{k-1} on Z[x]/Phi_p: with Q_{k-1}
+    folded mod x^p - 1 into g, the (p-1) x (p-1) matrix with entry (j, i) =
+    g[(j-i) mod p] - g[p-1-i].  A level costs one Newton-identity step
+    Q_{k-1} -> Q_k on the p deg Q power sums of its roots and one
+    (p-1) x (p-1) Bareiss determinant; a factor Phi_{p^k} of Q gives 0.  The
+    step's divisions are exact, so a remainder raises StructureViolationError.
     """
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
@@ -327,39 +333,16 @@ def cyclotomic_resultants(
         raise ValueError("cyclotomic levels start at 1")
     if poly.is_zero:
         raise ZeroPolynomialError("resultant against the zero polynomial")
-    coeffs = poly.coefficients
-    m = poly.degree
-    c = coeffs[-1]
-    companion = [[c if j == i - 1 else 0 for j in range(m)] for i in range(m)]
-    for i in range(m):
-        companion[i][m - 1] = -coeffs[i]
-    power = _matrix_power(companion, p ** (first - 1))
+    f = list(poly.coefficients)
     out = []
-    for k in range(first, last + 1):
-        s = p ** (k - 1)
-        a = c**s
-        total = [
-            [a ** (p - 1) if i == j else 0 for j in range(m)] for i in range(m)
-        ]
-        step = power  # M^(js), j = 1..p-1, then M^(ps) for the next level
-        for j in range(1, p):
-            scale = a ** (p - 1 - j)
-            total = [
-                [t + scale * x for t, x in zip(t_row, x_row)]
-                for t_row, x_row in zip(total, step)
+    for k in range(1, last + 1):
+        if k >= first:
+            g = [sum(f[r::p]) for r in range(p)]
+            rows = [
+                [g[(j - i) % p] - g[p - 1 - i] for i in range(p - 1)]
+                for j in range(p - 1)
             ]
-            if j < p - 1 or k < last:
-                step = _matmul(step, power)
-        power = step
-        n_deg = (p - 1) * s
-        # det * c^N / c^(N m) is the docstring's det / c^(N(m-1)), and also
-        # holds for a constant Q (m = 0, empty determinant 1)
-        value, rem = divmod(
-            bareiss_determinant(total) * c**n_deg, c ** (n_deg * m)
-        )
-        if rem:
-            raise StructureViolationError(
-                f"resultant against Phi_{p}^{k} is not an integer"
-            )
-        out.append(abs(value))
+            out.append(abs(bareiss_determinant(rows)))
+        if k < last:
+            f = _root_power(f, p)
     return out

@@ -28,7 +28,6 @@ from .graph import (
     cycle_weight_profile,
     subgraph,
 )
-from .linalg import DERIVED_VERTEX_CAP
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,11 @@ class DerivedGraph:
         if self.base_vertex_count == 0:
             return 1
         return self.graph.vertex_count // self.base_vertex_count
+
+
+# Derived vertices r * p^n a derived graph or a tower climb may reach; the
+# work grows with it whether the levels are built or read off resultants.
+DERIVED_VERTEX_CAP = 100_000
 
 
 def check_derived_size(base_vertices: int, p: int, n: int) -> None:

@@ -2,6 +2,7 @@
 against.  These deliberately share no code with the package."""
 
 import math
+from fractions import Fraction
 
 from voltage_tower import DirectedMultigraph
 
@@ -76,6 +77,93 @@ def sylvester_matrix(f, g):
                 row[i + j] = c
             rows.append(row)
     return rows
+
+
+def fraction_determinant(rows) -> int:
+    """Gaussian elimination over the rationals, for matrices too large
+    for cofactor expansion."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= factor * a[k][j]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _matrix_power(a, e: int):
+    # binary powering, e >= 1
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else _matmul(result, a)
+        e >>= 1
+        if e:
+            a = _matmul(a, a)
+    return result
+
+
+def companion_resultants(coeffs, p: int, first: int, last: int) -> list:
+    """|Res(Phi_{p^k}, Q)| for k = first..last from powers of a scaled
+    companion matrix; Q is given by ascending coefficients, nonzero.
+
+    With c the leading coefficient of Q and m its degree, M = c *
+    companion(Q / c) has c on the subdiagonal and -q_i in the last column,
+    and the roots of Q are the eigenvalues of M / c.  With s = p^(k-1) and
+    N = (p - 1)s, clearing c^N from Phi_{p^k}(M / c) gives
+
+        Res(Phi_{p^k}, Q) = +-det(sum_{j<p} c^((p-1-j)s) M^(js)) / c^(N(m-1)).
+    """
+    coeffs = list(coeffs)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    m = len(coeffs) - 1
+    c = coeffs[-1]
+    companion = [[c if j == i - 1 else 0 for j in range(m)] for i in range(m)]
+    for i in range(m):
+        companion[i][m - 1] = -coeffs[i]
+    power = _matrix_power(companion, p ** (first - 1))
+    out = []
+    for k in range(first, last + 1):
+        s = p ** (k - 1)
+        a = c**s
+        total = [
+            [a ** (p - 1) if i == j else 0 for j in range(m)] for i in range(m)
+        ]
+        step = power  # M^(js), j = 1..p-1, then M^(ps) for the next level
+        for j in range(1, p):
+            scale = a ** (p - 1 - j)
+            total = [
+                [t + scale * x for t, x in zip(t_row, x_row)]
+                for t_row, x_row in zip(total, step)
+            ]
+            if j < p - 1 or k < last:
+                step = _matmul(step, power)
+        power = step
+        n_deg = (p - 1) * s
+        # det * c^N / c^(N m) is det / c^(N(m-1)), and also holds for a
+        # constant Q (m = 0, empty determinant 1)
+        value, rem = divmod(
+            fraction_determinant(total) * c**n_deg, c ** (n_deg * m)
+        )
+        assert rem == 0, "resultant is not an integer"
+        out.append(abs(value))
+    return out
 
 
 def cyclotomic_prime_power(p: int, k: int) -> list:

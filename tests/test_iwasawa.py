@@ -299,6 +299,26 @@ def test_verify_growth_caps_the_top_level():
         verify_growth(directed_cycle(3), 1000003, 2)
 
 
+@pytest.mark.parametrize(
+    "p, resultant",
+    [
+        (2, 0),  # a zero resultant: Phi_{p^n} divides Q
+        (2, 1),  # kappa_0 = 3, q = 1: 3 * 1 / 2 leaves a remainder
+        (3, 54),  # kappa_1 = 3, q = 3: 27 * 54 / 27 = 54 is not a cube
+    ],
+)
+def test_verify_growth_rejects_a_resultant_with_no_integer_kappa(
+    monkeypatch, p, resultant
+):
+    monkeypatch.setattr(
+        iwasawa,
+        "cyclotomic_resultants",
+        lambda poly, p, first, last: [resultant] * (last - first + 1),
+    )
+    with pytest.raises(StructureViolationError):
+        verify_growth(directed_cycle(3), p, 3)
+
+
 def _smith_form_product(g: DirectedMultigraph) -> int:
     reduced = [row[1:] for row in _laplacian_rows(g)[1:]]
     matrix = IntMatrix.from_rows(reduced) if reduced else IntMatrix(0, 0, ())

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voltage_tower import (
@@ -16,21 +16,25 @@ from voltage_tower import (
     TooLargeError,
     ZeroPolynomialError,
     brute_force_spanning_trees,
+    char_poly,
+    cycle_weight_profile,
     cyclotomic_resultants,
     determinant,
     directed_cycle,
     kirchhoff_count,
     poly_matrix_determinant,
     smith_normal_form,
+    stabilization_level,
     underlying_undirected,
 )
 from voltage_tower import linalg
 from voltage_tower.backend import bareiss_determinant
 from voltage_tower.linalg import _default_points, _interpolate_integer
-from voltage_tower.linalg import _laplacian_rows
+from voltage_tower.linalg import _laplacian_rows, _root_power
 
 from oracles import (
     cofactor_determinant,
+    companion_resultants,
     cyclotomic_prime_power,
     sylvester_matrix,
 )
@@ -332,6 +336,11 @@ def test_cyclotomic_resultant_examples():
     # a constant c gives c^N
     assert cyclotomic_resultants(IntPolynomial((3,)), 2, 1, 3) == [3, 9, 81]
     assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 2, 1) == []
+    # Phi_{p^k} divides Q at a level >= first: that level's resultant is 0
+    assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 1, 3) == [0, 2, 2]
+    assert cyclotomic_resultants(IntPolynomial((1, 1, 1)), 3, 1, 3) == [0, 9, 9]
+    x3_plus_x2 = IntPolynomial((0, 0, 1, 1))
+    assert cyclotomic_resultants(x3_plus_x2, 2, 1, 3) == [0, 2, 2]
 
 
 def test_cyclotomic_resultants_validate_arguments():
@@ -368,3 +377,52 @@ def test_cyclotomic_resultants_match_the_sylvester_determinant(
         for k in range(first, top + 1)
     ]
     assert cyclotomic_resultants(IntPolynomial(coeffs), p, first, top) == expected
+
+
+def _from_roots(c, roots):
+    poly = IntPolynomial((c,))
+    for a in roots:
+        poly = poly * IntPolynomial((-a, 1))
+    return list(poly.coefficients)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.sampled_from((1, -1)),
+    st.lists(st.integers(-4, 4), max_size=5),
+    st.integers(0, 2),
+    st.sampled_from((2, 3, 5, 7)),
+)
+@example(3, -1, [2, -1], 1, 3)
+def test_root_power_step_raises_the_roots_to_the_p(size, sign, roots, zeros, p):
+    # Q = c prod (x - a_i), non-monic, with a_i = 0 among the roots
+    c = sign * size
+    roots = roots + [0] * zeros
+    assert _root_power(_from_roots(c, roots), p) == _from_roots(
+        c**p, [a**p for a in roots]
+    )
+
+
+def test_cyclotomic_resultants_match_the_companion_oracle_on_charpolys(corpus):
+    # Q = P(x - 1) of real charpolys, degree up to 2r, at levels n0+1..n0+3
+    x_minus_1 = IntPolynomial((-1, 1))
+    checked = 0
+    for g in corpus:
+        profile = cycle_weight_profile(g)
+        n0s = {p: stabilization_level(profile, p) for p in (2, 3, 5)}
+        if all(n0 is None for n0 in n0s.values()):
+            continue
+        q = IntPolynomial()
+        for i, coeff in enumerate(char_poly(g)):
+            q = q + (x_minus_1**i).scale(coeff)
+        for p, n0 in n0s.items():
+            if n0 is None:
+                continue
+            expected = companion_resultants(q.coefficients, p, n0 + 1, n0 + 3)
+            assert cyclotomic_resultants(q, p, n0 + 1, n0 + 3) == expected, (
+                g.name,
+                p,
+            )
+            checked += 1
+    assert checked >= 90

@@ -21,8 +21,7 @@ from voltage_tower import (
     tower_component,
 )
 from voltage_tower.graph import components
-from voltage_tower.linalg import DERIVED_VERTEX_CAP
-from voltage_tower.tower import check_derived_size
+from voltage_tower.tower import DERIVED_VERTEX_CAP, check_derived_size
 
 PRIMES = (2, 3, 5)
 
