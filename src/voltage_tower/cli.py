@@ -77,11 +77,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_graph(g, out_path: Optional[str]) -> None:
-    text = json.dumps(documents.graph_to_document(g), indent=2) + "\n"
-    _emit(text, out_path)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "cycle":
         g = directed_cycle(args.length)
@@ -92,7 +87,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         g = volcano(spec)
         if args.family == "doubled-volcano":
             g = doubled(g)
-    _emit_graph(g, args.output)
+    _emit(documents.graph_to_json(g), args.output)
     return EXIT_OK
 
 
@@ -106,7 +101,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
             "pass --allow-non-unit to derive anyway",
         )
     d = derive(g, voltage, args.level)
-    _emit_graph(d.graph, args.output)
+    _emit(documents.graph_to_json(d.graph), args.output)
     return EXIT_OK
 
 

@@ -4,12 +4,19 @@ Graphs travel as ``voltage-tower/graph-v1`` documents and invariant
 reports as ``voltage-tower/invariants-v1``; spanning-tree counts and
 polynomial coefficients are serialized as decimal strings because they
 outgrow 64-bit consumers quickly.  Unknown fields are rejected.
+
+Graph documents are written by :func:`graph_to_json` in the byte layout of
+``json.dumps(graph_to_document(g), indent=2)``.  It renders them itself
+because ``json`` encodes in pure Python, element by element, whenever an
+indent is given, and on a derived graph that was most of the time the
+``derive`` command took.
 """
 
 from __future__ import annotations
 
 import decimal
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .errors import DocumentError
@@ -32,6 +39,37 @@ def graph_to_document(g: DirectedMultigraph) -> dict[str, Any]:
     if g.vertex_labels is not None:
         doc["labels"] = list(g.vertex_labels)
     return doc
+
+
+def _json_array(items: list[str]) -> str:
+    """A JSON array of rendered items, laid out as a top-level field's value
+    in an indent-2 document."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+def graph_to_json(g: DirectedMultigraph) -> str:
+    """``json.dumps(graph_to_document(g), indent=2) + "\\n"``, rendered
+    directly: strings through json's own ASCII escaper, one fixed-indent
+    block per edge."""
+    fields = [
+        ("schema", encode_basestring_ascii(GRAPH_SCHEMA)),
+        ("name", encode_basestring_ascii(g.name)),
+        ("directed", json.dumps(not g.undirected)),
+        ("vertex_count", json.dumps(g.vertex_count)),
+        (
+            "edges",
+            _json_array(
+                [f"[\n      {s},\n      {t}\n    ]" for s, t in g.edges]
+            ),
+        ),
+    ]
+    if g.vertex_labels is not None:
+        labels = [encode_basestring_ascii(x) for x in g.vertex_labels]
+        fields.append(("labels", _json_array(labels)))
+    body = ",\n".join(f'  "{key}": {value}' for key, value in fields)
+    return "{\n" + body + "\n}\n"
 
 
 def graph_from_document(doc: Any) -> DirectedMultigraph:
@@ -91,8 +129,7 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
 
 def write_graph(g: DirectedMultigraph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_document(g), fh, indent=2)
-        fh.write("\n")
+        fh.write(graph_to_json(g))
 
 
 def read_graph(path: str) -> DirectedMultigraph:

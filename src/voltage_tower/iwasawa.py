@@ -215,11 +215,10 @@ def verify_growth(
     anchor = next(c for c in comps if c[0] == 0)
     kappa = kirchhoff_count(subgraph(derived.graph, anchor))
     records = [(n0, q, kappa, valuation(kappa, p))]
-    shifted = IntPolynomial()
-    for coeff in reversed(inv.charpoly.coefficients):
-        shifted = shifted * IntPolynomial((-1, 1)) + IntPolynomial((coeff,))
     kappa_power = kappa**q
-    resultants = cyclotomic_resultants(shifted, p, n0 + 1, n_max)
+    resultants = cyclotomic_resultants(
+        inv.charpoly.taylor_shift(-1), p, n0 + 1, n_max
+    )
     for n, res in enumerate(resultants, n0 + 1):
         kappa_power, rem = divmod(kappa_power * res, p**q)
         kappa = integer_root(kappa_power, q)

@@ -47,6 +47,15 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def taylor_shift(self, a: int) -> "IntPolynomial":
+        """P(x + a), by repeated synthetic division of the coefficient
+        list in place: O(degree^2) additions, no polynomial products."""
+        c = list(self.coefficients)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += a * c[j + 1]
+        return IntPolynomial(c)
+
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coefficients, other.coefficients
         if len(a) < len(b):

@@ -1,16 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltage_tower import (
+    ConstantVoltage,
+    CraterSpec,
     DirectedMultigraph,
     IntPolynomial,
     IwasawaInvariants,
     TowerLevel,
     TowerReport,
+    VolcanoSpec,
     bouquet,
+    derive,
     directed_cycle,
+    doubled,
     underlying_undirected,
+    volcano,
 )
 from voltage_tower import iwasawa, tower
 from voltage_tower.cli import _report_table, main
@@ -20,6 +28,7 @@ from voltage_tower.documents import (
     graph_from_document,
     graph_to_document,
     graph_to_dot,
+    graph_to_json,
     invariants_to_document,
     read_graph,
     tower_report_to_document,
@@ -42,6 +51,51 @@ def test_graph_document_round_trip(tmp_path):
     doc = graph_to_document(u)
     assert doc["directed"] is False
     assert graph_from_document(doc) == u
+
+
+def dumped(g):
+    """The graph-v1 bytes as ``json`` lays them out: the renderer's oracle."""
+    return json.dumps(graph_to_document(g), indent=2) + "\n"
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII text, a character
+# outside the BMP (escaped as a surrogate pair) and a lone surrogate.
+_TRICKY = st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "\u00e9", "\u2603",
+     "\U0001d11e", "\ud800"]
+)
+_TEXT = st.lists(st.characters() | _TRICKY, max_size=6).map("".join)
+
+
+@st.composite
+def documented_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    edges = ()
+    if n:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    labels = draw(st.none() | st.lists(_TEXT, min_size=n, max_size=n))
+    return DirectedMultigraph(
+        n, tuple(edges), labels, draw(_TEXT), undirected=draw(st.booleans())
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=documented_graphs())
+def test_graph_to_json_is_the_indent_2_dump(g):
+    assert graph_to_json(g) == dumped(g)
+    assert graph_from_document(json.loads(graph_to_json(g))) == g
+
+
+def test_graph_documents_keep_the_dump_layout(tmp_path):
+    for g in (
+        DirectedMultigraph(0, (), (), "empty"),
+        DirectedMultigraph(3, (), None, "no edges", undirected=True),
+        derive(directed_cycle(3), ConstantVoltage(3), 2).graph,
+    ):
+        path = tmp_path / "g.json"
+        write_graph(g, str(path))
+        assert path.read_bytes() == dumped(g).encode("ascii")
 
 
 def test_graph_document_rejects_garbage():
@@ -133,6 +187,30 @@ def test_gen_matches_in_memory_constructions(tmp_path, capsys):
     assert len(g.edges) == 12
 
 
+def test_gen_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
+    spec = VolcanoSpec(2, 2, CraterSpec.cycle(4))
+    cases = [
+        (["cycle", "--length", "4"], directed_cycle(4)),
+        (["bouquet", "--loops", "3"], bouquet(3)),
+        (
+            ["volcano", "--l", "2", "--depth", "2", "--crater", "cycle:4"],
+            volcano(spec),
+        ),
+        (
+            ["doubled-volcano", "--l", "2", "--depth", "2", "--crater", "cycle:4"],
+            doubled(volcano(spec)),
+        ),
+    ]
+    out = tmp_path / "g.json"
+    for args, g in cases:
+        code, stdout, _ = run(["gen", *args], capsys)
+        assert code == 0
+        code, _, _ = run(["gen", *args, "-o", str(out)], capsys)
+        assert code == 0
+        assert stdout == dumped(g)
+        assert out.read_bytes() == dumped(g).encode("ascii")
+
+
 def test_gen_rejects_bad_params(capsys):
     code, _, err = run(["gen", "volcano", "--l", "1"], capsys)
     assert code == 2
@@ -158,6 +236,24 @@ def test_derive_command(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(stdout) == graph_to_document(directed_cycle(3))
+
+
+def test_derive_writes_the_same_bytes_to_stdout_and_to_a_file(
+    tmp_path, capsys
+):
+    base = doubled(volcano(VolcanoSpec(2, 1, CraterSpec.cycle(3))))
+    src = tmp_path / "b.json"
+    out = tmp_path / "d.json"
+    write_graph(base, str(src))
+    for p, level in ((3, 2), (2, 0)):
+        argv = ["derive", "-i", str(src), "--p", str(p), "--level", str(level)]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        code, _, _ = run([*argv, "-o", str(out)], capsys)
+        assert code == 0
+        expected = dumped(derive(base, ConstantVoltage(p), level).graph)
+        assert stdout == expected
+        assert out.read_bytes() == expected.encode("ascii")
 
 
 def test_derive_non_unit_param(tmp_path, capsys):

@@ -60,6 +60,33 @@ def test_char_poly_three_cycle_is_circulant_square():
     assert char_poly(directed_cycle(3)) == expected
 
 
+def binomial_shift(poly: IntPolynomial, a: int) -> IntPolynomial:
+    """P(x + a) as the sum of c_k (x + a)^k, by polynomial products."""
+    out = IntPolynomial()
+    for k, c in enumerate(poly):
+        out = out + (IntPolynomial((a, 1)) ** k).scale(c)
+    return out
+
+
+def test_taylor_shift_of_every_corpus_charpoly(corpus):
+    # verify_growth builds Q(x) = P(x - 1) by the in-place shift
+    for g in corpus:
+        poly = char_poly(g)
+        assert poly.taylor_shift(-1) == binomial_shift(poly, -1), g.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.integers(min_value=-(10**40), max_value=10**40), max_size=12
+    ),
+    a=st.integers(min_value=-6, max_value=6),
+)
+def test_taylor_shift_matches_the_binomial_sum(coeffs, a):
+    poly = IntPolynomial(coeffs)
+    assert poly.taylor_shift(a) == binomial_shift(poly, a)
+
+
 def test_char_poly_requires_connected():
     with pytest.raises(NotConnectedError):
         char_poly(DirectedMultigraph(2, ()))
@@ -71,10 +98,7 @@ def test_char_poly_palindromy_and_double_root(g):
     # Q(u) = P(u - 1) = u^r det(D - A u - A^t u^-1) satisfies
     # Q(u) = u^(2r) Q(1/u), and T^2 | P(T) (double root at u = 1)
     poly = char_poly(g)
-    u_minus_1 = IntPolynomial((-1, 1))
-    q = IntPolynomial()
-    for k, c in enumerate(poly):
-        q = q + (u_minus_1**k).scale(c)
+    q = binomial_shift(poly, -1)
     r = g.vertex_count
     assert q.degree <= 2 * r
     coeffs = [q.coefficient(k) for k in range(2 * r + 1)]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltage_tower import (
     ConstantVoltage,
@@ -20,8 +22,11 @@ from voltage_tower import (
     subgraph,
     tower_component,
 )
+from voltage_tower.documents import read_graph, write_graph
 from voltage_tower.graph import components
 from voltage_tower.tower import DERIVED_VERTEX_CAP, check_derived_size
+
+from strategies import connected_multigraphs
 
 PRIMES = (2, 3, 5)
 
@@ -232,6 +237,42 @@ def test_relabel_bouquet_example():
     assert sorted(relabeled.graph.edges) == sorted(
         derive(bouquet(1), ConstantVoltage(3, 2), 1).graph.edges
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=connected_multigraphs(),
+    level=st.sampled_from(
+        [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+    ),
+    data=st.data(),
+)
+def test_relabel_by_unit_is_an_isomorphism_of_coverings(
+    g, level, data, tmp_path_factory
+):
+    p, n = level
+    modulus = p**n
+    u = data.draw(
+        st.integers(min_value=1, max_value=modulus - 1).filter(
+            lambda x: x % p != 0
+        )
+    )
+    d = derive(g, ConstantVoltage(p), n)
+    renamed = relabel_by_unit(d, u).graph
+
+    def sizes(graph):
+        return sorted(len(c) for c in components(graph))
+
+    def kappa_at_vertex_0(graph):
+        return kirchhoff_count(
+            subgraph(graph, next(c for c in components(graph) if c[0] == 0))
+        )
+
+    assert sizes(renamed) == sizes(d.graph)
+    assert kappa_at_vertex_0(renamed) == kappa_at_vertex_0(d.graph)
+    path = tmp_path_factory.mktemp("relabel") / "g.json"
+    write_graph(renamed, str(path))
+    assert read_graph(str(path)) == renamed
 
 
 def test_parameter_independence(corpus):
