@@ -30,17 +30,3 @@ def valuation(n: int, p: int) -> int:
         v += 1
     return v
 
-
-def integer_root(n: int, k: int) -> int:
-    """Floor of the k-th root of a non-negative integer, by integer Newton
-    iteration from above."""
-    if n < 0 or k < 1:
-        raise ValueError("integer_root needs n >= 0 and k >= 1")
-    if n < 2 or k == 1:
-        return n
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y

@@ -19,9 +19,10 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
-from .errors import DocumentError
+from .errors import DocumentError, TooLargeError
 from .graph import DirectedMultigraph
 from .iwasawa import IwasawaInvariants, TowerReport
+from .tower import DERIVED_VERTEX_CAP
 
 GRAPH_SCHEMA = "voltage-tower/graph-v1"
 INVARIANTS_SCHEMA = "voltage-tower/invariants-v1"
@@ -96,6 +97,10 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
     # bool, a subclass of int.
     if type(vertex_count) is not int or vertex_count < 0:
         raise DocumentError("vertex_count must be a non-negative integer")
+    if vertex_count > DERIVED_VERTEX_CAP:
+        raise TooLargeError(
+            f"vertex_count {vertex_count} exceeds the cap of {DERIVED_VERTEX_CAP}"
+        )
     if not isinstance(edges, list):
         raise DocumentError("edges must be a list")
     parsed_edges = []

@@ -9,12 +9,13 @@ mu and lambda drop out of the p-adic valuations of its coefficients
 (Weierstrass preparation), and nu is fitted against spanning-tree counts
 climbing the tower.
 
-The same polynomial gives those counts.  With Q(x) = P(x - 1) and
-q = p^n0, the level-n Laplacian splits over the characters of Z/p^n, and
-the per-component count kappa_n at every level n >= n0 follows from the
-level-n0 count and cyclotomic resultants:
+The same polynomial gives those counts, with no derived graph built.  Up
+to level n0 the derived graph is p^n disjoint copies of the base, so
+kappa_n0 is the base graph's Kirchhoff count.  With q = p^n0, every cycle
+weight is divisible by q, so Q(x) = P(x - 1) = x^a R(x^q), and above n0
+the Laplacian splits over the characters of Z/p^n into
 
-    kappa_n^q = (q kappa_n0 / p^n)^q prod_{k=n0+1..n} |Res(Phi_{p^k}, Q)|.
+    kappa_n = kappa_{n-1} |Res(Phi_{p^(n-n0)}, R)| / p.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import integer_root, is_prime, valuation
+from .arith import is_prime, valuation
 from .errors import (
     InvalidPrimeError,
     NoTowerError,
@@ -33,13 +34,11 @@ from .errors import (
 from .graph import (
     DirectedMultigraph,
     adjacency_matrix,
-    components,
     cycle_weight_profile,
     degree_profile,
     is_adjacency_normal,
     is_connected,
     is_total_degree_constant,
-    subgraph,
 )
 from .linalg import (
     _laplacian_rows,
@@ -48,12 +47,7 @@ from .linalg import (
     poly_matrix_determinant,
 )
 from .polynomial import IntPolynomial
-from .tower import (
-    ConstantVoltage,
-    check_derived_size,
-    derive,
-    stabilization_level,
-)
+from .tower import check_derived_size, stabilization_level
 
 
 @dataclass(frozen=True)
@@ -185,46 +179,47 @@ def verify_growth(
     """Climb the tower and check ord_p(kappa_n) = mu p^m + lam m + nu.
 
     kappa_n counts spanning trees of one tower component at level n and
-    m = n - n0 indexes the tower from its connected base.  Only the level-n0
-    derived graph is built: its q = p^n0 components give kappa_n0 by one
-    Kirchhoff determinant.  Above n0 the component count stays q and the
-    Laplacian splits over the characters of Z/p^n, whose primitive
-    p^k-th-root part multiplies to |Res(Phi_{p^k}, Q)| with Q(x) = P(x - 1):
+    m = n - n0 indexes the tower from its connected base.  No derived graph
+    is built.  The q = p^n0 components at level n0 cover g with total
+    degree q, so each is a copy of g and kappa_n0 is g's Kirchhoff count.
+    Gauging D - Ax - A^t x^(-1) by diag(x^theta(v)), theta a BFS potential,
+    leaves only powers x^(+-w) with every cycle weight w divisible by q, so
+    Q(x) = P(x - 1) = x^a R(x^q), checked here.  Above n0 the component
+    count stays q and the Laplacian splits over the characters of Z/p^n,
+    whose primitive p^n-th-root part multiplies to |Res(Phi_{p^n}, Q)| =
+    |Res(Phi_{p^(n-n0)}, R)|^q; taking the q-th root of the level step,
 
-        kappa_n^q = (q kappa_n0 / p^n)^q prod_{k=n0+1..n} |Res(Phi_{p^k}, Q)|,
+        kappa_n = kappa_{n-1} |Res(Phi_{p^(n-n0)}, R)| / p,
 
-    so kappa_n^q = kappa_{n-1}^q |Res(Phi_{p^n}, Q)| / p^q, an exact division
-    followed by an exact integer q-th root.  nu is fitted at the top level
-    and back-checked downward; ``exact_from_level`` is the least level from
+    one exact division per level.  nu is fitted at the top level and
+    back-checked downward; ``exact_from_level`` is the least level from
     which the identity holds on all recorded data.  The report carries
     ``invariants(g, p)``, computed once here.
     """
-    voltage = ConstantVoltage(p)  # p is prime before the size check runs
+    if not is_prime(p):  # before the size check, whose loop needs p >= 2
+        raise InvalidPrimeError(f"{p} is not prime")
     check_derived_size(g.vertex_count, p, n_max)
     inv = invariants(g, p)
     n0 = inv.n0
     if n_max < n0 + 2:
         raise ValueError(f"n_max must be at least n0 + 2 = {n0 + 2}")
     q = p**n0
-    derived = derive(g, voltage, n0)
-    comps = components(derived.graph)
-    if len(comps) != q:
+    shifted = inv.charpoly.taylor_shift(-1).coefficients
+    a = next(i for i, c in enumerate(shifted) if c)
+    if any(c for i, c in enumerate(shifted) if (i - a) % q):
         raise StructureViolationError(
-            f"{len(comps)} components at level n0, expected p^n0 = {q}"
+            f"Q(x) = P(x - 1) is not x^{a} R(x^{q})"
         )
-    anchor = next(c for c in comps if c[0] == 0)
-    kappa = kirchhoff_count(subgraph(derived.graph, anchor))
+    kappa = kirchhoff_count(g)
     records = [(n0, q, kappa, valuation(kappa, p))]
-    kappa_power = kappa**q
     resultants = cyclotomic_resultants(
-        inv.charpoly.taylor_shift(-1), p, n0 + 1, n_max
+        IntPolynomial(shifted[a::q]), p, n_max - n0
     )
     for n, res in enumerate(resultants, n0 + 1):
-        kappa_power, rem = divmod(kappa_power * res, p**q)
-        kappa = integer_root(kappa_power, q)
-        if res == 0 or rem or kappa**q != kappa_power:
+        kappa, rem = divmod(kappa * res, p)
+        if res == 0 or rem:
             raise StructureViolationError(
-                f"level {n}: |Res(Phi_{p}^{n}, Q)| gives no integer kappa"
+                f"level {n}: |Res(Phi_{p}^{n - n0}, R)| gives no integer kappa"
             )
         records.append((n, q, kappa, valuation(kappa, p)))
     m_max = n_max - n0

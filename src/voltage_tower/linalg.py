@@ -311,9 +311,9 @@ def _root_power(f: list[int], p: int) -> list[int]:
 
 
 def cyclotomic_resultants(
-    poly: IntPolynomial, p: int, first: int, last: int
+    poly: IntPolynomial, p: int, levels: int
 ) -> list[int]:
-    """|Res(Phi_{p^k}, Q)| for k = first..last (first >= 1), in integers.
+    """|Res(Phi_{p^k}, Q)| for k = 1..levels, in integers.
 
     Let Q_j = c^(p^j) prod (x - a^(p^j)) over the roots a of Q = c prod
     (x - a).  Since Phi_{p^k}(x) = Phi_p(x^(p^(k-1))),
@@ -329,20 +329,17 @@ def cyclotomic_resultants(
     """
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
-    if first < 1:
-        raise ValueError("cyclotomic levels start at 1")
     if poly.is_zero:
         raise ZeroPolynomialError("resultant against the zero polynomial")
     f = list(poly.coefficients)
     out = []
-    for k in range(1, last + 1):
-        if k >= first:
-            g = [sum(f[r::p]) for r in range(p)]
-            rows = [
-                [g[(j - i) % p] - g[p - 1 - i] for i in range(p - 1)]
-                for j in range(p - 1)
-            ]
-            out.append(abs(bareiss_determinant(rows)))
-        if k < last:
+    for k in range(1, levels + 1):
+        g = [sum(f[r::p]) for r in range(p)]
+        rows = [
+            [g[(j - i) % p] - g[p - 1 - i] for i in range(p - 1)]
+            for j in range(p - 1)
+        ]
+        out.append(abs(bareiss_determinant(rows)))
+        if k < levels:
             f = _root_power(f, p)
     return out

@@ -411,8 +411,9 @@ def test_verify_and_invariants_compute_the_charpoly_once(
 
 
 def test_verify_builds_one_level_whatever_n_max(tmp_path, capsys, monkeypatch):
-    # n0 = 1 for the 3-cycle at p = 3: one derived graph at level n0 and
-    # one Kirchhoff count; every higher level comes from a resultant
+    # n0 = 1 for the 3-cycle at p = 3: level n0 is one Kirchhoff count on
+    # the base graph, no derived graph is built, and every higher level
+    # comes from a resultant
     src = tmp_path / "c3.json"
     write_graph(directed_cycle(3), str(src))
     derived_levels = []
@@ -429,7 +430,6 @@ def test_verify_builds_one_level_whatever_n_max(tmp_path, capsys, monkeypatch):
         return real_kirchhoff(g, *args)
 
     monkeypatch.setattr(tower, "derive", counting_derive)
-    monkeypatch.setattr(iwasawa, "derive", counting_derive)
     monkeypatch.setattr(iwasawa, "kirchhoff_count", counting_kirchhoff)
     for n_max in (3, 4, 6):
         derived_levels.clear()
@@ -437,8 +437,8 @@ def test_verify_builds_one_level_whatever_n_max(tmp_path, capsys, monkeypatch):
         argv = ["verify", "-i", str(src), "--p", "3", "--n-max", str(n_max)]
         code, _, _ = run(argv, capsys)
         assert code == 0
-        assert derived_levels == [1], n_max
-        assert len(kirchhoff_calls) == 1, n_max
+        assert derived_levels == [], n_max
+        assert [g.vertex_count for g in kirchhoff_calls] == [3], n_max
 
 
 def test_size_cap_exits_6_at_once(tmp_path, capsys):
@@ -454,6 +454,24 @@ def test_size_cap_exits_6_at_once(tmp_path, capsys):
         assert code == 6, argv
         assert stdout == ""
         assert "exceed the cap" in err
+
+
+def test_a_claimed_vertex_count_over_the_cap_exits_6_at_once(tmp_path, capsys):
+    # a few bytes of JSON must not make any command allocate 10^12 vertices
+    src = tmp_path / "huge.json"
+    doc = graph_to_document(directed_cycle(3))
+    doc["vertex_count"] = 10**12
+    src.write_text(json.dumps(doc))
+    for argv in (
+        ["invariants", "-i", str(src), "--p", "2"],
+        ["verify", "-i", str(src), "--p", "2", "--n-max", "2"],
+        ["derive", "-i", str(src), "--p", "2", "--level", "1"],
+        ["export-dot", "-i", str(src)],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 6, argv
+        assert stdout == ""
+        assert "exceeds the cap" in err
 
 
 def test_integers_past_the_int_str_digit_limit_serialise():

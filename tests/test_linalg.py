@@ -327,30 +327,28 @@ def test_poly_matrix_determinant_rejects_non_square():
 
 def test_cyclotomic_resultant_examples():
     # Res(Phi_{p^k}, x - a) = Phi_{p^k}(a): Phi_3(2) = 7, Phi_9(2) = 73
-    assert cyclotomic_resultants(IntPolynomial((-2, 1)), 3, 1, 2) == [7, 73]
+    assert cyclotomic_resultants(IntPolynomial((-2, 1)), 3, 2) == [7, 73]
     # non-monic: prod (2 zeta - 1) = 2^N Phi_{2^k}(1/2) = 3, 5, 17
-    assert cyclotomic_resultants(IntPolynomial((-1, 2)), 2, 1, 3) == [3, 5, 17]
-    assert cyclotomic_resultants(IntPolynomial((-1, 2)), 2, 3, 3) == [17]
+    assert cyclotomic_resultants(IntPolynomial((-1, 2)), 2, 3) == [3, 5, 17]
+    assert cyclotomic_resultants(IntPolynomial((-1, 2)), 2, 3)[2:] == [17]
     # Q(0) = 0: the root 0 contributes Phi(0) = 1
-    assert cyclotomic_resultants(IntPolynomial((0, -2, 1)), 3, 1, 2) == [7, 73]
+    assert cyclotomic_resultants(IntPolynomial((0, -2, 1)), 3, 2) == [7, 73]
     # a constant c gives c^N
-    assert cyclotomic_resultants(IntPolynomial((3,)), 2, 1, 3) == [3, 9, 81]
-    assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 2, 1) == []
-    # Phi_{p^k} divides Q at a level >= first: that level's resultant is 0
-    assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 1, 3) == [0, 2, 2]
-    assert cyclotomic_resultants(IntPolynomial((1, 1, 1)), 3, 1, 3) == [0, 9, 9]
+    assert cyclotomic_resultants(IntPolynomial((3,)), 2, 3) == [3, 9, 81]
+    assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 0) == []
+    # Phi_{p^k} divides Q: that level's resultant is 0
+    assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 3) == [0, 2, 2]
+    assert cyclotomic_resultants(IntPolynomial((1, 1, 1)), 3, 3) == [0, 9, 9]
     x3_plus_x2 = IntPolynomial((0, 0, 1, 1))
-    assert cyclotomic_resultants(x3_plus_x2, 2, 1, 3) == [0, 2, 2]
+    assert cyclotomic_resultants(x3_plus_x2, 2, 3) == [0, 2, 2]
 
 
 def test_cyclotomic_resultants_validate_arguments():
     q = IntPolynomial((-2, 1))
-    with pytest.raises(ValueError):
-        cyclotomic_resultants(q, 2, 0, 2)
     with pytest.raises(InvalidPrimeError):
-        cyclotomic_resultants(q, 4, 1, 2)
+        cyclotomic_resultants(q, 4, 2)
     with pytest.raises(ZeroPolynomialError):
-        cyclotomic_resultants(IntPolynomial(), 2, 1, 2)
+        cyclotomic_resultants(IntPolynomial(), 2, 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -376,7 +374,7 @@ def test_cyclotomic_resultants_match_the_sylvester_determinant(
         )
         for k in range(first, top + 1)
     ]
-    assert cyclotomic_resultants(IntPolynomial(coeffs), p, first, top) == expected
+    assert cyclotomic_resultants(IntPolynomial(coeffs), p, top)[first - 1 :] == expected
 
 
 def _from_roots(c, roots):
@@ -405,7 +403,9 @@ def test_root_power_step_raises_the_roots_to_the_p(size, sign, roots, zeros, p):
 
 
 def test_cyclotomic_resultants_match_the_companion_oracle_on_charpolys(corpus):
-    # Q = P(x - 1) of real charpolys, degree up to 2r, at levels n0+1..n0+3
+    # Q = P(x - 1) of real charpolys, degree up to 2r, at levels 1..n0+3:
+    # zero at k <= n0, where Phi_{p^k} divides Q.  With q = p^n0, Q is
+    # x^a R(x^q), and |Res(Phi_{p^k}, Q)| = |Res(Phi_{p^(k-n0)}, R)|^q
     x_minus_1 = IntPolynomial((-1, 1))
     checked = 0
     for g in corpus:
@@ -419,10 +419,18 @@ def test_cyclotomic_resultants_match_the_companion_oracle_on_charpolys(corpus):
         for p, n0 in n0s.items():
             if n0 is None:
                 continue
-            expected = companion_resultants(q.coefficients, p, n0 + 1, n0 + 3)
-            assert cyclotomic_resultants(q, p, n0 + 1, n0 + 3) == expected, (
+            expected = companion_resultants(q.coefficients, p, 1, n0 + 3)
+            assert expected[:n0] == [0] * n0, (g.name, p)
+            assert cyclotomic_resultants(q, p, n0 + 3) == expected, (
                 g.name,
                 p,
             )
+            step = p**n0
+            a = min(i for i, c in enumerate(q) if c)
+            assert all(c == 0 for i, c in enumerate(q) if (i - a) % step)
+            r = q.coefficients[a::step]
+            decimated = companion_resultants(r, p, 1, 3)
+            assert [x**step for x in decimated] == expected[n0:], (g.name, p)
+            assert cyclotomic_resultants(IntPolynomial(r), p, 3) == decimated
             checked += 1
     assert checked >= 90
