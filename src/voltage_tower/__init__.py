@@ -70,7 +70,6 @@ from .linalg import (
     cyclotomic_resultants,
     determinant,
     kirchhoff_count,
-    poly_matrix_determinant,
     smith_normal_form,
 )
 from .polynomial import IntPolynomial

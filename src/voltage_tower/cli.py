@@ -4,8 +4,9 @@ Subcommands: gen, derive, invariants, verify, export-dot, oracle.  Data
 goes to stdout or the -o path; diagnostics go to stderr.  Exit codes:
 0 success, 2 invalid parameters or malformed input, 3 non-unit parameter,
 4 no tower exists, 5 growth-law mismatch, 6 size cap exceeded (the
-oracle's edge cap, or the derived-vertex cap on a tower level or on an
-input graph's vertex count).
+oracle's edge cap, the derived-vertex cap on a tower level or on an input
+graph's vertex count, the derived-edge cap of derive, or the vertex cap
+of the characteristic polynomial behind invariants and verify).
 """
 
 from __future__ import annotations

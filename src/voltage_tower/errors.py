@@ -18,8 +18,9 @@ class NotSquareError(VoltageTowerError):
 
 
 class TooLargeError(VoltageTowerError):
-    """Input exceeds a hard size cap: the brute-force oracle's edge cap or
-    the derived-vertex cap of a tower."""
+    """Input exceeds a hard size cap: the brute-force oracle's edge cap,
+    the derived-vertex or derived-edge cap of a tower, or the vertex cap
+    of a characteristic polynomial."""
 
 
 class ZeroPolynomialError(VoltageTowerError):

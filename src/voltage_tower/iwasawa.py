@@ -2,12 +2,12 @@
 
 The constant tower of a connected graph with r vertices has characteristic
 power series det(D - A(1+T) - A^t(1+T)^(-1)).  Multiplying every row by
-(1+T), a unit power series, clears the denominators and leaves a matrix
-polynomial of degree 2 with integer coefficient matrices, whose
-determinant is an honest integer polynomial P(T) of degree at most 2r;
-mu and lambda drop out of the p-adic valuations of its coefficients
-(Weierstrass preparation), and nu is fitted against spanning-tree counts
-climbing the tower.
+(1+T), a unit power series, clears the denominators and leaves an honest
+integer polynomial P(T) = Q(1+T) of degree at most 2r, where Q(x) =
+det(Dx - Ax^2 - A^t) is palindromic; its half S, with Q(x) = x^r S(x +
+1/x), comes from r + 1 integer determinants.  mu and lambda drop out of
+the p-adic valuations of P's coefficients (Weierstrass preparation), and
+nu is fitted against spanning-tree counts climbing the tower.
 
 The same polynomial gives those counts, with no derived graph built.  Up
 to level n0 the derived graph is p^n disjoint copies of the base, so
@@ -20,15 +20,18 @@ the Laplacian splits over the characters of Z/p^n into
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import is_prime, valuation
+from .backend import bareiss_determinant
 from .errors import (
     InvalidPrimeError,
     NoTowerError,
     NotConnectedError,
     StructureViolationError,
+    TooLargeError,
     ZeroPolynomialError,
 )
 from .graph import (
@@ -40,14 +43,13 @@ from .graph import (
     is_connected,
     is_total_degree_constant,
 )
-from .linalg import (
-    _laplacian_rows,
-    cyclotomic_resultants,
-    kirchhoff_count,
-    poly_matrix_determinant,
-)
+from .linalg import _interpolate_integer, cyclotomic_resultants, kirchhoff_count
 from .polynomial import IntPolynomial
-from .tower import check_derived_size, stabilization_level
+from .tower import (
+    CHARPOLY_VERTEX_CAP,
+    check_derived_size,
+    stabilization_level,
+)
 
 
 @dataclass(frozen=True)
@@ -94,25 +96,63 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     """P(T) = (1+T)^r * det(D - A(1+T) - A^t(1+T)^(-1)), exactly.
 
     With D the total-degree diagonal (loops counted twice) and A the
-    adjacency matrix (loops once), the cleared matrix D(1+T) - A(1+T)^2 -
-    A^t is the matrix polynomial C_0 + C_1 T + C_2 T^2 with C_0 = D - A -
-    A^t (the Laplacian of the undirected image), C_1 = D - 2A and C_2 =
-    -A, so 2r + 1 integer determinants pin P(T) down.
+    adjacency matrix (loops once), P(T) = Q(1 + T) for the cleared
+    determinant Q(x) = det(Dx - Ax^2 - A^t).  Since x^2 M(1/x) = M(x)^t,
+    Q(x) = x^(2r) Q(1/x) is palindromic, so Q(x) = x^r S(x + 1/x) with S
+    an integer polynomial of degree at most r, and r + 1 integer
+    determinants pin it down: Q(k) at k = -1, 2, -2, 3, ...  With L the
+    lcm of the |k|, S_L(z) = L^r S(z / L) has integer coefficients s_j
+    L^(r-j) and takes the integer value (L/k)^r Q(k) at the integer node
+    z = (k^2 + 1) L/k, so integer Newton interpolation recovers it and
+    exact divisions give the s_j.
 
-    The cleared determinant is Q(u) = P(u - 1) with Q(u) = u^(2r) Q(1/u)
-    (transpose M(1/u)) and Q(1) = det(Laplacian) = 0, so u = 1 is at least
-    a double root: T^2 divides P(T), checked here.
+    Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
+    out at least a double root: T^2 divides P(T), checked here.  Graphs
+    with more than CHARPOLY_VERTEX_CAP vertices raise TooLargeError first.
     """
+    r = g.vertex_count
+    if r > CHARPOLY_VERTEX_CAP:
+        raise TooLargeError(
+            f"{r} vertices exceed the characteristic-polynomial cap of "
+            f"{CHARPOLY_VERTEX_CAP}"
+        )
     if not is_connected(g):
         raise NotConnectedError("characteristic polynomial needs a connected graph")
-    r = g.vertex_count
     prof = degree_profile(g)
+    deg = [i + o for i, o in zip(prof.in_deg, prof.out_deg)]
     adj = adjacency_matrix(g)
-    c1 = [[-2 * a for a in row] for row in adj]
-    for i in range(r):
-        c1[i][i] += prof.in_deg[i] + prof.out_deg[i]
-    c2 = [[-a for a in row] for row in adj]
-    p = poly_matrix_determinant([_laplacian_rows(g), c1, c2])
+    adj_t = [list(col) for col in zip(*adj)]
+    # -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
+    ks = [-1] + [e * k for k in range(2, r // 2 + 3) for e in (1, -1)]
+    ks = ks[: r + 1]
+    big = math.lcm(*ks)
+    zs, ws = [], []
+    for k in ks:
+        m = [
+            [-a * k * k - b for a, b in zip(row, row_t)]
+            for row, row_t in zip(adj, adj_t)
+        ]
+        for i in range(r):
+            m[i][i] += deg[i] * k
+        scale = big // k
+        zs.append((k * k + 1) * scale)
+        ws.append(scale**r * bareiss_determinant(m))
+    s_hat = _interpolate_integer(zs, ws)
+    s = []
+    for j in range(r + 1):
+        s_j, rem = divmod(s_hat.coefficient(j), big ** (r - j))
+        if rem:
+            raise StructureViolationError(
+                f"x^r S(x + 1/x): coefficient of z^{j} is not an integer"
+            )
+        s.append(s_j)
+    # homogeneous Horner: Q <- Q (x^2 + 1) + s_j x^(r-j), j = r..0
+    q = [0] * (2 * r + 1)
+    for j in range(r, -1, -1):
+        for i in range(2 * r, 1, -1):
+            q[i] += q[i - 2]
+        q[r - j] += s[j]
+    p = IntPolynomial(q).taylor_shift(1)
     if p.coefficient(0) != 0 or p.coefficient(1) != 0:
         raise StructureViolationError(
             "characteristic polynomial is not divisible by T^2"

@@ -2,8 +2,7 @@
 
 Everything here is exact: determinants by fraction-free elimination,
 spanning-tree counts through the Laplacian, Smith normal form for Picard
-torsion, determinants of integer matrix polynomials by evaluation at
-integer points followed by integer Newton interpolation, and resultants
+torsion, integer Newton interpolation at integer nodes, and resultants
 of an integer polynomial against the cyclotomic polynomials Phi_{p^k} by
 root powering: one Newton-identity step and one (p-1) x (p-1)
 determinant per k.  No floating point anywhere; p-adic valuations
@@ -213,47 +212,6 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
         t += 1
     factors.extend([0] * (size - len(factors)))
     return factors
-
-
-def _default_points(count: int) -> list[int]:
-    # 0, 1, -1, 2, -2, ...
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return pts[:count]
-
-
-def poly_matrix_determinant(
-    coefficients: Sequence[Sequence[Sequence[int]]],
-) -> IntPolynomial:
-    """Determinant of the matrix polynomial C_0 + C_1 T + ... + C_d T^d.
-
-    The C_k are square integer matrices of one size n, so every entry has
-    degree at most d and the determinant degree at most n * d.  The sum is
-    evaluated at the n * d + 1 integers 0, 1, -1, 2, -2, ..., each
-    evaluation's determinant is taken exactly, and the coefficients are
-    recovered by Newton interpolation in integers.
-    """
-    if not coefficients:
-        raise ValueError("need at least one coefficient matrix")
-    n = len(coefficients[0])
-    if any(
-        len(c) != n or any(len(row) != n for row in c) for c in coefficients
-    ):
-        raise NotSquareError("coefficient matrices are not square of one size")
-    xs = _default_points(n * (len(coefficients) - 1) + 1)
-    ys = []
-    for x in xs:
-        # Horner over the coefficient matrices, entry by entry
-        m = coefficients[-1]
-        for c in reversed(coefficients[:-1]):
-            m = [[a * x + b for a, b in zip(mr, cr)] for mr, cr in zip(m, c)]
-        ys.append(bareiss_determinant(m))
-    return _interpolate_integer(xs, ys)
 
 
 def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:

@@ -4,7 +4,7 @@ against.  These deliberately share no code with the package."""
 import math
 from fractions import Fraction
 
-from voltage_tower import DirectedMultigraph
+from voltage_tower import DirectedMultigraph, IntPolynomial, NotSquareError
 
 
 def cofactor_determinant(rows) -> int:
@@ -173,3 +173,83 @@ def cyclotomic_prime_power(p: int, k: int) -> list:
     for j in range(p):
         coeffs[j * s] = 1
     return coeffs
+
+
+def _default_points(count: int) -> list:
+    # 0, 1, -1, 2, -2, ...
+    pts = [0]
+    k = 1
+    while len(pts) < count:
+        pts.append(k)
+        if len(pts) < count:
+            pts.append(-k)
+        k += 1
+    return pts[:count]
+
+
+def lagrange_coefficients(xs, ys) -> list:
+    """Ascending rational coefficients of the polynomial of degree below
+    len(xs) through the points (xs, ys)."""
+    total = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [Fraction(yi)]  # yi prod_{j != i} (x - xj) / (xi - xj)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            shifted = [Fraction(0)] + basis
+            for k, b in enumerate(basis):
+                shifted[k] -= xj * b
+            basis = [b / (xi - xj) for b in shifted]
+        for k, b in enumerate(basis):
+            total[k] += b
+    return total
+
+
+def poly_matrix_determinant(coefficients) -> IntPolynomial:
+    """Determinant of the matrix polynomial C_0 + C_1 T + ... + C_d T^d.
+
+    The C_k are square integer matrices of one size n, so the determinant
+    has degree at most n * d.  The sum is evaluated at the n * d + 1
+    integers 0, 1, -1, 2, -2, ..., each evaluation's determinant is taken
+    by rational elimination, and Lagrange interpolation over the rationals
+    must give integer coefficients.
+    """
+    if not coefficients:
+        raise ValueError("need at least one coefficient matrix")
+    n = len(coefficients[0])
+    if any(
+        len(c) != n or any(len(row) != n for row in c) for c in coefficients
+    ):
+        raise NotSquareError("coefficient matrices are not square of one size")
+    xs = _default_points(n * (len(coefficients) - 1) + 1)
+    ys = []
+    for x in xs:
+        m = [[0] * n for _ in range(n)]
+        for k, c in enumerate(coefficients):
+            for i in range(n):
+                for j in range(n):
+                    m[i][j] += c[i][j] * x**k
+        ys.append(fraction_determinant(m))
+    coeffs = lagrange_coefficients(xs, ys)
+    assert all(c.denominator == 1 for c in coeffs), "not an integer polynomial"
+    return IntPolynomial(tuple(c.numerator for c in coeffs))
+
+
+def charpoly_2r_plus_1(g: DirectedMultigraph) -> IntPolynomial:
+    """P(T) as the determinant of the matrix polynomial (D - A - A^t) +
+    (D - 2A) T - A T^2 at 2r + 1 nodes, with D and A read off the edge
+    list (D counts a loop twice, A once)."""
+    r = g.vertex_count
+    adj = [[0] * r for _ in range(r)]
+    deg = [0] * r
+    for s, t in g.edges:
+        adj[s][t] += 1
+        deg[s] += 1
+        deg[t] += 1
+    diag = [[deg[i] if i == j else 0 for j in range(r)] for i in range(r)]
+    c0 = [
+        [diag[i][j] - adj[i][j] - adj[j][i] for j in range(r)] for i in range(r)
+    ]
+    c1 = [[diag[i][j] - 2 * adj[i][j] for j in range(r)] for i in range(r)]
+    c2 = [[-a for a in row] for row in adj]
+    return poly_matrix_determinant([c0, c1, c2])

@@ -24,6 +24,23 @@ def connected_multigraphs(draw):
 
 
 @st.composite
+def looped_multigraphs(draw):
+    """Connected multigraphs on 1 to 6 vertices with at least one loop
+    and at least one pair of parallel edges, in shuffled edge order."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = [
+        (draw(st.integers(min_value=0, max_value=v - 1)), v)
+        for v in range(1, n)
+    ]
+    v = draw(vertex)
+    edges.append((v, v))
+    edges.append(draw(st.sampled_from(edges)))
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    return DirectedMultigraph(n, tuple(draw(st.permutations(edges))))
+
+
+@st.composite
 def weights_divisible_by(draw, p):
     """Connected multigraphs whose every cycle weight is divisible by p.
 

@@ -474,6 +474,42 @@ def test_a_claimed_vertex_count_over_the_cap_exits_6_at_once(tmp_path, capsys):
         assert "exceeds the cap" in err
 
 
+def test_a_charpoly_over_its_cap_exits_6_at_once(tmp_path, capsys, monkeypatch):
+    # r + 1 dense r x r determinants: a 50,000-vertex cycle is within the
+    # document cap but must not reach a matrix
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(iwasawa, "adjacency_matrix", no_matrix)
+    monkeypatch.setattr(iwasawa, "kirchhoff_count", no_matrix)
+    big = tmp_path / "c50000.json"
+    write_graph(directed_cycle(50_000), str(big))
+    small = tmp_path / "c65.json"
+    write_graph(directed_cycle(tower.CHARPOLY_VERTEX_CAP + 1), str(small))
+    for argv in (
+        ["invariants", "-i", str(big), "--p", "2"],
+        ["invariants", "-i", str(small), "--p", "2", "--n-max", "2"],
+        ["verify", "-i", str(small), "--p", "2", "--n-max", "2"],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 6, argv
+        assert stdout == ""
+        assert "exceed the characteristic-polynomial cap" in err
+
+
+def test_derived_edges_over_the_cap_exit_6_at_once(tmp_path, capsys):
+    # 1 vertex and 1,000 loops: 2^16 derived vertices are within their cap,
+    # but 1,000 * 2^16 derived edges are not
+    src = tmp_path / "b1000.json"
+    write_graph(bouquet(1000), str(src))
+    code, stdout, err = run(
+        ["derive", "-i", str(src), "--p", "2", "--level", "16"], capsys
+    )
+    assert code == 6
+    assert stdout == ""
+    assert "derived edges exceed the cap" in err
+
+
 def test_integers_past_the_int_str_digit_limit_serialise():
     kappa = 10**5000
     coeff = -(10**4999 + 7)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from voltage_tower import (
     IntMatrix,
     IntPolynomial,
     InvalidPrimeError,
+    NonIntegralInterpolationError,
     NoTowerError,
     NotConnectedError,
     StructureViolationError,
@@ -38,8 +40,14 @@ from voltage_tower import (
 from voltage_tower import iwasawa
 from voltage_tower.backend import bareiss_determinant
 from voltage_tower.linalg import _laplacian_rows
+from voltage_tower.tower import CHARPOLY_VERTEX_CAP
 
-from strategies import connected_multigraphs, weights_divisible_by
+from oracles import charpoly_2r_plus_1
+from strategies import (
+    connected_multigraphs,
+    looped_multigraphs,
+    weights_divisible_by,
+)
 
 PRIMES = (2, 3, 5)
 
@@ -111,11 +119,12 @@ def test_char_poly_palindromy_and_double_root(g):
 @given(g=connected_multigraphs(), data=st.data())
 def test_char_poly_matches_the_cleared_matrix_off_the_nodes(g, data):
     # the cleared matrix D(1+x) - A(1+x)^2 - A^t, built entry by entry;
-    # the 2r + 1 interpolation nodes all lie in [-r, r]
+    # the r + 1 evaluation points 1 + T = -1, 2, -2, ... lie in
+    # [-(r + 2), r + 2], so 1 + x does not hit one
     r = g.vertex_count
     x = data.draw(
-        st.integers(min_value=r + 1, max_value=10**6)
-        | st.integers(min_value=-(10**6), max_value=-r - 1)
+        st.integers(min_value=r + 4, max_value=10**6)
+        | st.integers(min_value=-(10**6), max_value=-r - 4)
     )
     prof = degree_profile(g)
     adj = adjacency_matrix(g)
@@ -132,13 +141,84 @@ def test_char_poly_matches_the_cleared_matrix_off_the_nodes(g, data):
 
 
 def test_char_poly_rejects_a_linear_term(monkeypatch):
+    # directed_cycle(3) evaluates Dk - Ak^2 - A^t with 2k on the diagonal;
+    # answering k^3 there gives Q(x) = x^3 S(x + 1/x) with S = 1, a
+    # palindromic Q whose P(T) = (1 + T)^3 has T^0 and T^1 coefficients
+    # 1 and 3
     monkeypatch.setattr(
-        iwasawa,
-        "poly_matrix_determinant",
-        lambda coefficients: IntPolynomial((0, 5, -1)),
+        iwasawa, "bareiss_determinant", lambda m: (m[0][0] // 2) ** 3
     )
-    with pytest.raises(StructureViolationError):
+    with pytest.raises(StructureViolationError, match="T\\^2"):
         char_poly(directed_cycle(3))
+
+
+def test_char_poly_rejects_a_half_that_is_not_integral(monkeypatch):
+    # S_L = 1 gives s_0 = 1 / L^r; skipping the exact division would
+    # return P = 0, which passes the T^2 check
+    monkeypatch.setattr(
+        iwasawa, "_interpolate_integer", lambda xs, ys: IntPolynomial((1,))
+    )
+    with pytest.raises(StructureViolationError, match="not an integer"):
+        char_poly(directed_cycle(3))
+
+
+@pytest.mark.parametrize(
+    "offset, error, match",
+    [
+        # off by one: no integer S_L fits the r + 1 values
+        ("one", NonIntegralInterpolationError, "divided difference"),
+        # off by prod (z_i - z_j): S_L stays integral, but S or T^2 | P fails
+        ("nodes", StructureViolationError, None),
+        # off by L^r prod (z_i - z_j): S stays integral, but S(2) != 0
+        ("nodes_L", StructureViolationError, "T\\^2"),
+    ],
+)
+def test_char_poly_rejects_one_corrupted_evaluation(
+    monkeypatch, corpus, offset, error, match
+):
+    # one determinant corrupted, at each of the r + 1 points k in turn; the
+    # interpolation nodes are z = (k^2 + 1) L/k with L = lcm |k|
+    for g in corpus:
+        r = g.vertex_count
+        ks = [-1] + [e * k for k in range(2, r + 3) for e in (1, -1)]
+        ks = ks[: r + 1]
+        big = math.lcm(*ks)
+        zs = [(k * k + 1) * (big // k) for k in ks]
+        for bad in range(r + 1):
+            delta = math.prod(zs[bad] - z for z in zs if z != zs[bad])
+            delta = {"one": 1, "nodes": delta, "nodes_L": delta * big**r}[offset]
+            calls = itertools.count()
+
+            def corrupted(m, calls=calls, bad=bad, delta=delta):
+                det = bareiss_determinant(m)
+                return det + delta if next(calls) == bad else det
+
+            monkeypatch.setattr(iwasawa, "bareiss_determinant", corrupted)
+            with pytest.raises(error, match=match):
+                char_poly(g)
+            assert next(calls) == r + 1, g.name
+
+
+def test_char_poly_matches_the_2r_plus_1_node_oracle(corpus):
+    for g in corpus:
+        assert char_poly(g) == charpoly_2r_plus_1(g), g.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=looped_multigraphs())
+def test_char_poly_matches_the_oracle_with_loops_and_parallel_edges(g):
+    assert char_poly(g) == charpoly_2r_plus_1(g)
+
+
+def test_char_poly_refuses_a_graph_over_the_cap_before_any_matrix(
+    monkeypatch,
+):
+    def no_matrix(g):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(iwasawa, "adjacency_matrix", no_matrix)
+    with pytest.raises(TooLargeError):
+        char_poly(directed_cycle(CHARPOLY_VERTEX_CAP + 1))
 
 
 def test_weierstrass_examples():

@@ -22,20 +22,20 @@ from voltage_tower import (
     determinant,
     directed_cycle,
     kirchhoff_count,
-    poly_matrix_determinant,
     smith_normal_form,
     stabilization_level,
     underlying_undirected,
 )
 from voltage_tower import linalg
 from voltage_tower.backend import bareiss_determinant
-from voltage_tower.linalg import _default_points, _interpolate_integer
-from voltage_tower.linalg import _laplacian_rows, _root_power
+from voltage_tower.linalg import _interpolate_integer, _laplacian_rows, _root_power
 
 from oracles import (
+    _default_points,
     cofactor_determinant,
     companion_resultants,
     cyclotomic_prime_power,
+    poly_matrix_determinant,
     sylvester_matrix,
 )
 from strategies import connected_multigraphs

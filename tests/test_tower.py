@@ -24,7 +24,11 @@ from voltage_tower import (
 )
 from voltage_tower.documents import read_graph, write_graph
 from voltage_tower.graph import components
-from voltage_tower.tower import DERIVED_VERTEX_CAP, check_derived_size
+from voltage_tower.tower import (
+    DERIVED_EDGE_CAP,
+    DERIVED_VERTEX_CAP,
+    check_derived_size,
+)
 
 from strategies import connected_multigraphs
 
@@ -212,6 +216,15 @@ def test_derived_size_cap():
         check_derived_size(3, 2, 10**18)  # refused without computing 2^n
     with pytest.raises(TooLargeError):
         derive(directed_cycle(3), ConstantVoltage(2), 40)
+
+
+def test_derived_edge_cap():
+    # the largest benchmark derive, 3 loops at p = 7, level 5: 50,421 edges
+    assert len(derive(bouquet(3), ConstantVoltage(7), 5).graph.edges) == 50_421
+    # 1,000 loops at level 9: 512 vertices, 512,000 edges
+    assert 1000 * 2**9 > DERIVED_EDGE_CAP
+    with pytest.raises(TooLargeError, match="derived edges"):
+        derive(bouquet(1000), ConstantVoltage(2), 9)
 
 
 def test_non_unit_parameter_splits_level_one(corpus):
