@@ -2,11 +2,13 @@
 
 Subcommands: gen, derive, invariants, verify, export-dot, oracle.  Data
 goes to stdout or the -o path; diagnostics go to stderr.  Exit codes:
-0 success, 2 invalid parameters or malformed input, 3 non-unit parameter,
-4 no tower exists, 5 growth-law mismatch, 6 size cap exceeded (the
-oracle's edge cap, the derived-vertex cap on a tower level or on an input
-graph's vertex count, the derived-edge cap of derive, or the vertex cap
-of the characteristic polynomial behind invariants and verify).
+0 success, 1 internal error (an identity the theory guarantees failed:
+a bug), 2 invalid parameters or malformed input (an empty graph
+included), 3 non-unit parameter, 4 no tower exists, 5 growth-law
+mismatch, 6 size cap exceeded (the oracle's edge cap, the derived-vertex
+cap on a tower level or on an input graph's vertex count, the
+derived-edge cap of derive, or the vertex cap of the characteristic
+polynomial behind invariants and verify).
 """
 
 from __future__ import annotations
@@ -19,12 +21,17 @@ from typing import Optional, Sequence
 from . import documents
 from .errors import (
     DocumentError,
+    EmptyGraphError,
     InvalidPrimeError,
     InvalidSpecError,
+    NonIntegralInterpolationError,
     NoTowerError,
     NotAUnitError,
     NotConnectedError,
+    NotSquareError,
+    StructureViolationError,
     TooLargeError,
+    ZeroPolynomialError,
 )
 from .generators import (
     CRATER_BARE,
@@ -41,6 +48,7 @@ from .linalg import brute_force_spanning_trees
 from .tower import ConstantVoltage, derive
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_NON_UNIT = 3
 EXIT_NO_TOWER = 4
@@ -251,6 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (
         DocumentError,
+        EmptyGraphError,
         InvalidSpecError,
         InvalidPrimeError,
         NotConnectedError,
@@ -270,6 +279,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(EXIT_SIZE_CAP, str(exc))
     except OSError as exc:
         return _fail(EXIT_USAGE, str(exc))
+    except (
+        NonIntegralInterpolationError,
+        NotSquareError,
+        StructureViolationError,
+        ZeroPolynomialError,
+    ) as exc:
+        return _fail(EXIT_INTERNAL, f"internal: {exc}")
 
 
 if __name__ == "__main__":

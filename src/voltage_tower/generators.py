@@ -1,9 +1,14 @@
 """Constructors and recognizers for the standard graph families.
 
 Volcano graphs are layered: a crater (cycle, looped vertex, two-loop
-vertex, or bare vertex) with l-ary levels hanging below it.  Degree
-bookkeeping here counts loops with multiplicity one; that convention is
-local to shape validation and never leaks into Laplacians.
+vertex, or bare vertex) with l-ary levels hanging below it.  An
+augmented volcano has a double crater, a cycle with every edge doubled.
+One recognizer reads both: it peels leaves down to the crater, then
+checks crater degree l+1+extra (extra 0 for a volcano, 2 for an
+augmented volcano), inner degree l+1 and one parent per vertex below
+the crater.  Degree bookkeeping here counts loops with multiplicity one;
+that convention is local to shape validation and never leaks into
+Laplacians.
 """
 
 from __future__ import annotations
@@ -207,101 +212,60 @@ class _UndirectedView:
         return sum(self.neighbors[v].values()) + self.loops[v]
 
 
+def _cycle_length(
+    view: _UndirectedView, vertices: set[int], mult: int
+) -> Optional[int]:
+    """Length of the loop-free cycle induced on ``vertices`` whose edges
+    all have multiplicity ``mult``, or None; two vertices sharing 2*mult
+    edges count as a cycle of length 2.
+
+    ``vertices`` must induce a connected subgraph, as a connected graph
+    peeled of leaves does; then two inside neighbors at every vertex
+    close one cycle through all of them.
+    """
+    if len(vertices) < 2 or any(view.loops[v] for v in vertices):
+        return None
+    if len(vertices) == 2:
+        u, v = vertices
+        return 2 if view.neighbors[u][v] == 2 * mult else None
+    for v in vertices:
+        inside = [m for w, m in view.neighbors[v].items() if w in vertices]
+        if inside != [mult, mult]:
+            return None
+    return len(vertices)
+
+
 def _classify_crater(
     view: _UndirectedView, vertices: set[int]
 ) -> Optional[tuple[str, int]]:
-    """Classify the subgraph induced on ``vertices`` as a crater shape."""
+    """(kind, length) of the crater induced on ``vertices``, or None."""
     if len(vertices) == 1:
         (v,) = vertices
+        kinds = (CRATER_BARE, CRATER_CYCLE, CRATER_TWO_LOOPS)
         loops = view.loops[v]
-        if loops == 0:
-            return (CRATER_BARE, 1)
-        if loops == 1:
-            return (CRATER_CYCLE, 1)
-        if loops == 2:
-            return (CRATER_TWO_LOOPS, 1)
-        return None
-    if any(view.loops[v] for v in vertices):
-        return None
-    if len(vertices) == 2:
-        u, v = sorted(vertices)
-        if view.neighbors[u][v] == 2:
-            return (CRATER_CYCLE, 2)
-        return None
-    # length >= 3: every vertex has exactly two inside neighbors, each
-    # simple, and one closed walk covers everything
-    inside = {
-        v: [
-            w
-            for w, mult in view.neighbors[v].items()
-            if w in vertices
-            for _ in range(mult)
-        ]
-        for v in vertices
-    }
-    if any(len(nbrs) != 2 for nbrs in inside.values()):
-        return None
-    if any(len(set(nbrs)) != 2 for nbrs in inside.values()):
-        return None
-    start = min(vertices)
-    prev, cur = start, inside[start][0]
-    seen = 1
-    while cur != start:
-        nxt = [w for w in inside[cur] if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev, cur = cur, nxt[0]
-        seen += 1
-        if seen > len(vertices):
-            return None
-    if seen != len(vertices):
-        return None
-    return (CRATER_CYCLE, len(vertices))
+        return (kinds[loops], 1) if loops < len(kinds) else None
+    length = _cycle_length(view, vertices, 1)
+    return None if length is None else (CRATER_CYCLE, length)
 
 
-def _classify_double_crater(
-    view: _UndirectedView, vertices: set[int]
-) -> Optional[int]:
-    """Length of the double crater induced on ``vertices``, or None."""
-    s = len(vertices)
-    if s < 2 or any(view.loops[v] for v in vertices):
-        return None
-    inside = {
-        v: {w: mult for w, mult in view.neighbors[v].items() if w in vertices}
-        for v in vertices
-    }
-    if s == 2:
-        u, v = sorted(vertices)
-        return 2 if inside[u].get(v, 0) == 4 else None
-    for nbrs in inside.values():
-        if len(nbrs) != 2 or any(mult != 2 for mult in nbrs.values()):
-            return None
-    start = min(vertices)
-    prev, cur = start, sorted(inside[start])[0]
-    seen = 1
-    while cur != start:
-        nxt = [w for w in inside[cur] if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev, cur = cur, nxt[0]
-        seen += 1
-        if seen > s:
-            return None
-    return s if seen == s else None
+def _recognize(g: DirectedMultigraph, classify, extra: int):
+    """(l, depth, crater) of ``g`` as a crater with l-ary levels below,
+    whose crater vertices have degree l+1+extra, or None.
 
-
-def _peel_levels(
-    view: _UndirectedView, is_core
-) -> Optional[tuple[list[set[int]], set[int]]]:
-    """Strip degree-1 loop-free vertices round by round until ``is_core``
-    accepts the remainder; returns (levels outermost first, core)."""
+    Degree-1 loop-free vertices are peeled round by round until
+    ``classify(view, remaining)`` returns the crater; each round is one
+    level, the first the deepest.  Inner vertices have degree l+1 and
+    leaves degree 1, and edges join adjacent levels only.  l is None at
+    depth 0.
+    """
+    if not is_connected(g):
+        raise NotConnectedError("volcano recognition needs a connected graph")
+    view = _UndirectedView(g)
     remaining = set(range(view.n))
-    degree = {v: view.degree(v) for v in remaining}
+    degree = [view.degree(v) for v in range(view.n)]
     levels: list[set[int]] = []
-    while not is_core(remaining):
-        leaves = {
-            v for v in remaining if degree[v] == 1 and view.loops[v] == 0
-        }
+    while (crater := classify(view, remaining)) is None:
+        leaves = {v for v in remaining if degree[v] == 1 and not view.loops[v]}
         if not leaves:
             return None
         for v in leaves:
@@ -309,72 +273,34 @@ def _peel_levels(
                 if w in remaining and w not in leaves:
                     degree[w] -= mult
         remaining -= leaves
-        if not remaining:
-            return None
         levels.append(leaves)
-    return levels, remaining
-
-
-def _validate_levels(
-    view: _UndirectedView, level_of: dict[int, int], depth: int
-) -> bool:
-    """The shared layer axioms: edges stay within adjacent levels, levels
-    past the crater are totally disconnected, and every vertex below the
-    crater hangs from exactly one parent."""
-    parents = Counter()
-    for v in range(view.n):
-        lv = level_of[v]
-        if lv > 0 and view.loops[v]:
-            return False
-        for w, mult in view.neighbors[v].items():
-            if w < v:
-                continue
-            lw = level_of[w]
-            if abs(lv - lw) > 1:
-                return False
-            if lv == lw and lv > 0:
-                return False
-            if lv != lw:
-                child = v if lv > lw else w
-                parents[child] += mult
-    for v in range(view.n):
-        if level_of[v] > 0 and parents[v] != 1:
-            return False
-    return True
+    depth = len(levels)
+    if depth == 0:
+        return None, 0, crater
+    level_of = dict.fromkeys(remaining, 0)
+    for i, level in enumerate(levels):
+        level_of.update(dict.fromkeys(level, depth - i))
+    # a peeled vertex had no loop and one edge left, toward the crater: two
+    # leaves of one round joined to each other would, with what hangs below
+    # them, be a component of their own.  So every vertex below the crater
+    # is loop-free with one parent above it, and l >= 1.
+    l = view.degree(min(remaining)) - 1 - extra
+    expected = {0: l + 1 + extra, depth: 1}
+    for v, lv in level_of.items():
+        if view.degree(v) != expected.get(lv, l + 1) or any(
+            abs(lv - level_of[w]) > 1 for w in view.neighbors[v]
+        ):
+            return None
+    return l, depth, crater
 
 
 def recognize_volcano(g: DirectedMultigraph) -> Optional[VolcanoShape]:
     """Classify ``g`` (treated as undirected) as an abstract l-volcano."""
-    if not is_connected(g):
-        raise NotConnectedError("volcano recognition needs a connected graph")
-    view = _UndirectedView(g)
-    peeled = _peel_levels(
-        view, lambda vs: _classify_crater(view, vs) is not None
-    )
-    if peeled is None:
+    found = _recognize(g, _classify_crater, 0)
+    if found is None:
         return None
-    levels, crater_vertices = peeled
-    crater = _classify_crater(view, crater_vertices)
-    depth = len(levels)
-    level_of = {v: 0 for v in crater_vertices}
-    for i, level in enumerate(levels):
-        for v in level:
-            level_of[v] = depth - i
-    if depth == 0:
-        return VolcanoShape(None, 0, crater[0], crater[1])
-    upper_degrees = {
-        view.degree(v) for v in range(view.n) if level_of[v] < depth
-    }
-    if len(upper_degrees) != 1:
-        return None
-    l = upper_degrees.pop() - 1
-    if l < 1:
-        return None
-    if any(view.degree(v) != 1 for v in levels[0]):
-        return None
-    if not _validate_levels(view, level_of, depth):
-        return None
-    return VolcanoShape(l, depth, crater[0], crater[1])
+    l, depth, (kind, length) = found
+    return VolcanoShape(l, depth, kind, length)
 
 
 def recognize_augmented_volcano(
@@ -382,41 +308,8 @@ def recognize_augmented_volcano(
 ) -> Optional[AugmentedVolcanoShape]:
     """Classify ``g`` as an augmented volcano: a double crater with l-ary
     levels below, crater degree l+3."""
-    if not is_connected(g):
-        raise NotConnectedError("volcano recognition needs a connected graph")
-    view = _UndirectedView(g)
-    peeled = _peel_levels(
-        view, lambda vs: _classify_double_crater(view, vs) is not None
-    )
-    if peeled is None:
-        return None
-    levels, crater_vertices = peeled
-    crater_length = _classify_double_crater(view, crater_vertices)
-    depth = len(levels)
-    level_of = {v: 0 for v in crater_vertices}
-    for i, level in enumerate(levels):
-        for v in level:
-            level_of[v] = depth - i
-    if depth == 0:
-        if any(view.degree(v) != 4 for v in crater_vertices):
-            return None
-        return AugmentedVolcanoShape(None, 0, crater_length)
-    crater_degrees = {view.degree(v) for v in crater_vertices}
-    if len(crater_degrees) != 1:
-        return None
-    l = crater_degrees.pop() - 3
-    if l < 1:
-        return None
-    for v in range(view.n):
-        lv = level_of[v]
-        if lv == 0:
-            continue
-        expected = 1 if lv == depth else l + 1
-        if view.degree(v) != expected:
-            return None
-    if not _validate_levels(view, level_of, depth):
-        return None
-    return AugmentedVolcanoShape(l, depth, crater_length)
+    found = _recognize(g, lambda view, vs: _cycle_length(view, vs, 2), 2)
+    return None if found is None else AugmentedVolcanoShape(*found)
 
 
 def is_double_crater(g: DirectedMultigraph) -> Optional[int]:
@@ -424,8 +317,7 @@ def is_double_crater(g: DirectedMultigraph) -> Optional[int]:
     None when the shape does not match."""
     if not is_connected(g):
         raise NotConnectedError("double-crater check needs a connected graph")
-    view = _UndirectedView(g)
-    return _classify_double_crater(view, set(range(g.vertex_count)))
+    return _cycle_length(_UndirectedView(g), set(range(g.vertex_count)), 2)
 
 
 def is_augmented_volcano(g: DirectedMultigraph) -> bool:

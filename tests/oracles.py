@@ -2,9 +2,24 @@
 against.  These deliberately share no code with the package."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
-from voltage_tower import DirectedMultigraph, IntPolynomial, NotSquareError
+from voltage_tower import (
+    AugmentedVolcanoShape,
+    DirectedMultigraph,
+    IntPolynomial,
+    NotConnectedError,
+    NotSquareError,
+    VolcanoShape,
+    is_connected,
+)
+from voltage_tower.generators import (
+    CRATER_BARE,
+    CRATER_CYCLE,
+    CRATER_TWO_LOOPS,
+)
 
 
 def cofactor_determinant(rows) -> int:
@@ -253,3 +268,251 @@ def charpoly_2r_plus_1(g: DirectedMultigraph) -> IntPolynomial:
     c1 = [[diag[i][j] - 2 * adj[i][j] for j in range(r)] for i in range(r)]
     c2 = [[-a for a in row] for row in adj]
     return poly_matrix_determinant([c0, c1, c2])
+
+
+# The volcano recognizers as the library had them before they were merged
+# into one: a crater walk and a peel-and-layer check each for volcanoes
+# and for augmented volcanoes.  Kept verbatim as the equivalence oracle.
+
+class _UndirectedView:
+    """Multiplicity-aware undirected view used by the recognizers."""
+
+    def __init__(self, g: DirectedMultigraph):
+        self.n = g.vertex_count
+        self.loops = [0] * self.n
+        self.neighbors: list[Counter] = [Counter() for _ in range(self.n)]
+        for s, t in g.edges:
+            if s == t:
+                self.loops[s] += 1
+            else:
+                self.neighbors[s][t] += 1
+                self.neighbors[t][s] += 1
+
+    def degree(self, v: int) -> int:
+        """Loops counted once."""
+        return sum(self.neighbors[v].values()) + self.loops[v]
+
+
+def _classify_crater(
+    view: _UndirectedView, vertices: set[int]
+) -> Optional[tuple[str, int]]:
+    """Classify the subgraph induced on ``vertices`` as a crater shape."""
+    if len(vertices) == 1:
+        (v,) = vertices
+        loops = view.loops[v]
+        if loops == 0:
+            return (CRATER_BARE, 1)
+        if loops == 1:
+            return (CRATER_CYCLE, 1)
+        if loops == 2:
+            return (CRATER_TWO_LOOPS, 1)
+        return None
+    if any(view.loops[v] for v in vertices):
+        return None
+    if len(vertices) == 2:
+        u, v = sorted(vertices)
+        if view.neighbors[u][v] == 2:
+            return (CRATER_CYCLE, 2)
+        return None
+    # length >= 3: every vertex has exactly two inside neighbors, each
+    # simple, and one closed walk covers everything
+    inside = {
+        v: [
+            w
+            for w, mult in view.neighbors[v].items()
+            if w in vertices
+            for _ in range(mult)
+        ]
+        for v in vertices
+    }
+    if any(len(nbrs) != 2 for nbrs in inside.values()):
+        return None
+    if any(len(set(nbrs)) != 2 for nbrs in inside.values()):
+        return None
+    start = min(vertices)
+    prev, cur = start, inside[start][0]
+    seen = 1
+    while cur != start:
+        nxt = [w for w in inside[cur] if w != prev]
+        if len(nxt) != 1:
+            return None
+        prev, cur = cur, nxt[0]
+        seen += 1
+        if seen > len(vertices):
+            return None
+    if seen != len(vertices):
+        return None
+    return (CRATER_CYCLE, len(vertices))
+
+
+def _classify_double_crater(
+    view: _UndirectedView, vertices: set[int]
+) -> Optional[int]:
+    """Length of the double crater induced on ``vertices``, or None."""
+    s = len(vertices)
+    if s < 2 or any(view.loops[v] for v in vertices):
+        return None
+    inside = {
+        v: {w: mult for w, mult in view.neighbors[v].items() if w in vertices}
+        for v in vertices
+    }
+    if s == 2:
+        u, v = sorted(vertices)
+        return 2 if inside[u].get(v, 0) == 4 else None
+    for nbrs in inside.values():
+        if len(nbrs) != 2 or any(mult != 2 for mult in nbrs.values()):
+            return None
+    start = min(vertices)
+    prev, cur = start, sorted(inside[start])[0]
+    seen = 1
+    while cur != start:
+        nxt = [w for w in inside[cur] if w != prev]
+        if len(nxt) != 1:
+            return None
+        prev, cur = cur, nxt[0]
+        seen += 1
+        if seen > s:
+            return None
+    return s if seen == s else None
+
+
+def _peel_levels(
+    view: _UndirectedView, is_core
+) -> Optional[tuple[list[set[int]], set[int]]]:
+    """Strip degree-1 loop-free vertices round by round until ``is_core``
+    accepts the remainder; returns (levels outermost first, core)."""
+    remaining = set(range(view.n))
+    degree = {v: view.degree(v) for v in remaining}
+    levels: list[set[int]] = []
+    while not is_core(remaining):
+        leaves = {
+            v for v in remaining if degree[v] == 1 and view.loops[v] == 0
+        }
+        if not leaves:
+            return None
+        for v in leaves:
+            for w, mult in view.neighbors[v].items():
+                if w in remaining and w not in leaves:
+                    degree[w] -= mult
+        remaining -= leaves
+        if not remaining:
+            return None
+        levels.append(leaves)
+    return levels, remaining
+
+
+def _validate_levels(
+    view: _UndirectedView, level_of: dict[int, int], depth: int
+) -> bool:
+    """The shared layer axioms: edges stay within adjacent levels, levels
+    past the crater are totally disconnected, and every vertex below the
+    crater hangs from exactly one parent."""
+    parents = Counter()
+    for v in range(view.n):
+        lv = level_of[v]
+        if lv > 0 and view.loops[v]:
+            return False
+        for w, mult in view.neighbors[v].items():
+            if w < v:
+                continue
+            lw = level_of[w]
+            if abs(lv - lw) > 1:
+                return False
+            if lv == lw and lv > 0:
+                return False
+            if lv != lw:
+                child = v if lv > lw else w
+                parents[child] += mult
+    for v in range(view.n):
+        if level_of[v] > 0 and parents[v] != 1:
+            return False
+    return True
+
+
+def split_recognize_volcano(g: DirectedMultigraph) -> Optional[VolcanoShape]:
+    """Classify ``g`` (treated as undirected) as an abstract l-volcano."""
+    if not is_connected(g):
+        raise NotConnectedError("volcano recognition needs a connected graph")
+    view = _UndirectedView(g)
+    peeled = _peel_levels(
+        view, lambda vs: _classify_crater(view, vs) is not None
+    )
+    if peeled is None:
+        return None
+    levels, crater_vertices = peeled
+    crater = _classify_crater(view, crater_vertices)
+    depth = len(levels)
+    level_of = {v: 0 for v in crater_vertices}
+    for i, level in enumerate(levels):
+        for v in level:
+            level_of[v] = depth - i
+    if depth == 0:
+        return VolcanoShape(None, 0, crater[0], crater[1])
+    upper_degrees = {
+        view.degree(v) for v in range(view.n) if level_of[v] < depth
+    }
+    if len(upper_degrees) != 1:
+        return None
+    l = upper_degrees.pop() - 1
+    if l < 1:
+        return None
+    if any(view.degree(v) != 1 for v in levels[0]):
+        return None
+    if not _validate_levels(view, level_of, depth):
+        return None
+    return VolcanoShape(l, depth, crater[0], crater[1])
+
+
+def split_recognize_augmented_volcano(
+    g: DirectedMultigraph,
+) -> Optional[AugmentedVolcanoShape]:
+    """Classify ``g`` as an augmented volcano: a double crater with l-ary
+    levels below, crater degree l+3."""
+    if not is_connected(g):
+        raise NotConnectedError("volcano recognition needs a connected graph")
+    view = _UndirectedView(g)
+    peeled = _peel_levels(
+        view, lambda vs: _classify_double_crater(view, vs) is not None
+    )
+    if peeled is None:
+        return None
+    levels, crater_vertices = peeled
+    crater_length = _classify_double_crater(view, crater_vertices)
+    depth = len(levels)
+    level_of = {v: 0 for v in crater_vertices}
+    for i, level in enumerate(levels):
+        for v in level:
+            level_of[v] = depth - i
+    if depth == 0:
+        if any(view.degree(v) != 4 for v in crater_vertices):
+            return None
+        return AugmentedVolcanoShape(None, 0, crater_length)
+    crater_degrees = {view.degree(v) for v in crater_vertices}
+    if len(crater_degrees) != 1:
+        return None
+    l = crater_degrees.pop() - 3
+    if l < 1:
+        return None
+    for v in range(view.n):
+        lv = level_of[v]
+        if lv == 0:
+            continue
+        expected = 1 if lv == depth else l + 1
+        if view.degree(v) != expected:
+            return None
+    if not _validate_levels(view, level_of, depth):
+        return None
+    return AugmentedVolcanoShape(l, depth, crater_length)
+
+
+def split_is_double_crater(g: DirectedMultigraph) -> Optional[int]:
+    """Length of ``g`` as a double crater (every cycle edge doubled), or
+    None when the shape does not match."""
+    if not is_connected(g):
+        raise NotConnectedError("double-crater check needs a connected graph")
+    view = _UndirectedView(g)
+    return _classify_double_crater(view, set(range(g.vertex_count)))
+
+
+def split_is_augmented_volcano(g: DirectedMultigraph) -> bool:
+    return split_recognize_augmented_volcano(g) is not None

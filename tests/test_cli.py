@@ -13,6 +13,7 @@ from voltage_tower import (
     TowerLevel,
     TowerReport,
     VolcanoSpec,
+    VoltageTowerError,
     bouquet,
     derive,
     directed_cycle,
@@ -20,7 +21,7 @@ from voltage_tower import (
     underlying_undirected,
     volcano,
 )
-from voltage_tower import iwasawa, tower
+from voltage_tower import cli, iwasawa, tower
 from voltage_tower.cli import _report_table, main
 from voltage_tower.documents import (
     DocumentError,
@@ -619,3 +620,62 @@ def test_dot_output_file(tmp_path, capsys):
     code, _, _ = run(["export-dot", "-i", str(src), "-o", str(out)], capsys)
     assert code == 0
     assert out.read_text().startswith("digraph")
+
+
+def test_an_empty_graph_exits_2(tmp_path, capsys):
+    src = tmp_path / "empty.json"
+    write_graph(DirectedMultigraph(0, (), name="empty"), str(src))
+    for argv in (
+        ["invariants", "-i", str(src), "--p", "2"],
+        ["verify", "-i", str(src), "--p", "2", "--n-max", "2"],
+        ["oracle", "-i", str(src)],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2, argv
+        assert stdout == ""
+        assert err == "error: graph has no vertices\n"
+
+
+def test_a_failed_identity_exits_1_as_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    # a wrong determinant breaks the charpoly's integrality checks
+    real = iwasawa.bareiss_determinant
+    monkeypatch.setattr(
+        iwasawa, "bareiss_determinant", lambda rows: real(rows) ** 3
+    )
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    code, stdout, err = run(["invariants", "-i", str(src), "--p", "3"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: internal: ")
+    assert err.count("\n") == 1
+
+
+def _concrete_errors(cls=VoltageTowerError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_errors(sub)
+
+
+def test_every_library_error_maps_to_a_documented_exit_code(
+    tmp_path, capsys, monkeypatch
+):
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    errors = list(_concrete_errors())
+    assert len(errors) >= 12
+    for error in errors:
+
+        def fail(args, error=error):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_oracle", fail)
+        code, stdout, err = run(["oracle", "-i", str(src)], capsys)
+        assert code in {1, 2, 3, 4, 5, 6}, error.__name__
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1, error.__name__
+        assert lines[0].startswith("error: ") and "boom" in lines[0]
+        assert "Traceback" not in err

@@ -1,12 +1,21 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from voltage_tower import (
+    AugmentedVolcanoShape,
     ConstantVoltage,
     CraterSpec,
     DirectedMultigraph,
     InvalidSpecError,
+    NoTowerError,
     NotConnectedError,
+    VolcanoShape,
     VolcanoSpec,
+    VoltageTowerError,
     bouquet,
     check_theorem_hypotheses,
     cycle_weight_profile,
@@ -222,3 +231,132 @@ def test_bare_crater_volcano_is_a_tree():
     v = volcano(VolcanoSpec(2, 2, CraterSpec.bare()))
     assert cycle_weight_profile(v).is_acyclic
     assert stabilization_level(cycle_weight_profile(v), 2) is None
+
+
+RECOGNIZERS = (
+    (recognize_volcano, oracles.split_recognize_volcano),
+    (recognize_augmented_volcano, oracles.split_recognize_augmented_volcano),
+    (is_double_crater, oracles.split_is_double_crater),
+    (is_augmented_volcano, oracles.split_is_augmented_volcano),
+)
+
+
+def _outcome(recognizer, g):
+    try:
+        return recognizer(g)
+    except VoltageTowerError as exc:
+        return type(exc)
+
+
+def assert_recognizers_match_oracle(g):
+    """All four recognizers give the split oracle's result or error type;
+    returns the oracle's (volcano, augmented volcano) hits."""
+    outcomes = []
+    for recognizer, oracle in RECOGNIZERS:
+        expected = _outcome(oracle, g)
+        assert _outcome(recognizer, g) == expected, (recognizer.__name__, g)
+        outcomes.append(expected)
+    return [
+        isinstance(found, (VolcanoShape, AugmentedVolcanoShape))
+        for found in outcomes[:2]
+    ]
+
+
+def _volcano_family():
+    """Generated, doubled and derived volcanoes and tower components over
+    every crater kind."""
+    graphs = []
+    for l in (2, 3):
+        for d in (0, 1, 2):
+            for crater in ALL_CRATERS:
+                base = volcano(VolcanoSpec(l, d, crater))
+                graphs += [base, doubled(base)]
+                for p in (2, 3):
+                    voltage = ConstantVoltage(p)
+                    graphs.append(derive(base, voltage, 1).graph)
+                    try:
+                        graphs.append(tower_component(base, voltage, 1))
+                    except NoTowerError:
+                        pass
+    return graphs
+
+
+VOLCANO_FAMILY = _volcano_family()
+
+
+def _one_edge_changes(g, rng):
+    """g with one edge dropped, duplicated or added, or one loop added."""
+    n, edges = g.vertex_count, list(g.edges)
+    changed = [edges[:i] + edges[i + 1 :] for i in range(len(edges))]
+    changed += [edges + [e] for e in edges]
+    changed += [edges + [(v, v)] for v in range(n)]
+    changed += [
+        edges + [(rng.randrange(n), rng.randrange(n))] for _ in range(n)
+    ]
+    return [DirectedMultigraph(n, tuple(e)) for e in changed]
+
+
+def _random_multigraph(rng):
+    n = rng.randint(1, 9)
+    m = rng.randint(0, 14)
+    edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
+    return DirectedMultigraph(n, edges)
+
+
+def test_recognizers_match_the_split_oracle_on_a_fixed_corpus():
+    rng = random.Random(20261018)
+    graphs = list(VOLCANO_FAMILY)
+    for g in VOLCANO_FAMILY:
+        changes = _one_edge_changes(g, rng)
+        graphs += rng.sample(changes, min(12, len(changes)))
+    graphs += [_random_multigraph(rng) for _ in range(18000)]
+    assert len(graphs) >= 20000
+    hits = [assert_recognizers_match_oracle(g) for g in graphs]
+    # 822 volcanoes and 39 augmented volcanoes among 20,494 graphs
+    assert all(sum(column) >= 30 for column in zip(*hits))
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=14))
+    return DirectedMultigraph(n, tuple(edges))
+
+
+@st.composite
+def changed_volcanoes(draw):
+    g = draw(st.sampled_from(VOLCANO_FAMILY))
+    changes = _one_edge_changes(g, draw(st.randoms()))
+    return draw(st.sampled_from([g] + changes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(multigraphs(), changed_volcanoes()))
+def test_recognizers_match_the_split_oracle(g):
+    assert_recognizers_match_oracle(g)
+
+
+def test_recognizers_reject_malformed_craters_and_layers():
+    triangle_one_doubled = DirectedMultigraph(
+        3, ((0, 1), (1, 2), (2, 0), (1, 0))
+    )
+    base = volcano(VolcanoSpec(2, 2, CraterSpec.cycle(3)))
+    # the last two edges hang the last two leaves, so dropping them leaves
+    # their parent a leaf one level up
+    short_branch = DirectedMultigraph(base.vertex_count - 2, base.edges[:-2])
+    augmented = derive(
+        volcano(VolcanoSpec(2, 1, CraterSpec.two_loops())),
+        ConstantVoltage(3),
+        1,
+    ).graph
+    lopsided = DirectedMultigraph(
+        augmented.vertex_count + 1,
+        augmented.edges + ((0, augmented.vertex_count),),
+    )
+    for g in (bouquet(3), triangle_one_doubled, short_branch, lopsided):
+        assert recognize_volcano(g) is None
+        assert recognize_augmented_volcano(g) is None
+        assert_recognizers_match_oracle(g)
+    assert is_double_crater(triangle_one_doubled) is None
+    assert recognize_augmented_volcano(augmented) is not None

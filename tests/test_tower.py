@@ -97,38 +97,6 @@ def test_predicted_component_count_examples():
     assert component_count(d.graph) == 2
 
 
-def test_component_count_matches_prediction(corpus):
-    for g in corpus:
-        profile = cycle_weight_profile(g)
-        for p in PRIMES:
-            for n in range(4):
-                d = derive(g, ConstantVoltage(p), n)
-                assert component_count(d.graph) == predicted_component_count(
-                    profile, p, n
-                ), (g.name, p, n)
-
-
-def test_low_levels_are_disjoint_copies(corpus):
-    for g in corpus:
-        profile = cycle_weight_profile(g)
-        base_kappa = kirchhoff_count(g)
-        for p in PRIMES:
-            n0 = stabilization_level(profile, p)
-            if n0 is None:
-                continue
-            for n in range(0, min(n0, 3) + 1):
-                d = derive(g, ConstantVoltage(p), n)
-                comps = components(d.graph)
-                if n <= n0:
-                    assert len(comps) == p**n
-                for comp in comps:
-                    sub = subgraph(d.graph, comp)
-                    if n <= n0:
-                        assert sub.vertex_count == g.vertex_count
-                        assert len(sub.edges) == len(g.edges)
-                        assert kirchhoff_count(sub) == base_kappa
-
-
 def test_all_components_alike(corpus):
     for g in corpus:
         for p in (2, 3):
