@@ -92,6 +92,31 @@ class TowerReport:
     invariants: IwasawaInvariants
 
 
+def _min_degree_order(adj: list[list[int]]) -> list[int]:
+    """Greedy minimum-degree elimination order of the symmetric pattern of
+    A + A^t, ties broken by the least vertex.
+
+    Eliminating a vertex joins its remaining neighbours, as elimination
+    fills them in; taking the least-connected vertex first keeps that fill,
+    and so the nonzero multipliers Bareiss must apply, small.
+    """
+    r = len(adj)
+    nbrs = [
+        {j for j in range(r) if j != i and (adj[i][j] or adj[j][i])}
+        for i in range(r)
+    ]
+    left = set(range(r))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (len(nbrs[u]), u))
+        left.remove(v)
+        order.append(v)
+        for u in nbrs[v]:
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+    return order
+
+
 def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     """P(T) = (1+T)^r * det(D - A(1+T) - A^t(1+T)^(-1)), exactly.
 
@@ -119,8 +144,11 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     if not is_connected(g):
         raise NotConnectedError("characteristic polynomial needs a connected graph")
     prof = degree_profile(g)
-    deg = [i + o for i, o in zip(prof.in_deg, prof.out_deg)]
     adj = adjacency_matrix(g)
+    # a symmetric permutation of D and A changes no determinant
+    order = _min_degree_order(adj)
+    deg = [prof.in_deg[v] + prof.out_deg[v] for v in order]
+    adj = [[adj[u][v] for v in order] for u in order]
     adj_t = [list(col) for col in zip(*adj)]
     # -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
     ks = [-1] + [e * k for k in range(2, r // 2 + 3) for e in (1, -1)]

@@ -68,9 +68,11 @@ DERIVED_VERTEX_CAP = 100_000
 # at the vertex cap.  A one-vertex base with many loops stays within the
 # vertex cap at any level, so its edges need a cap of their own.
 DERIVED_EDGE_CAP = 500_000
-# Base vertices r of a characteristic polynomial, r + 1 dense r x r
-# determinants: on random graphs, 2.6 s at r = 64 with 128 edges, 4.7 s with
-# 4,000 edges, and 16 s at r = 96 (2-vCPU VM, Python 3.11).
+# Base vertices r of a characteristic polynomial, r + 1 r x r determinants:
+# on random graphs, 0.38 s at r = 64 with 128 edges and 5.0 s with 4,000
+# edges; at r = 96, 2.1 s with 192 edges and 38 s with 4,000 (best of 3,
+# one run at r = 96 with 4,000 edges; 2-vCPU VM, Python 3.11).  Dense graphs
+# leave Bareiss no zero multiplier to skip, so they set the cap.
 CHARPOLY_VERTEX_CAP = 64
 
 

@@ -38,6 +38,46 @@ def cofactor_determinant(rows) -> int:
     return total
 
 
+def dense_bareiss(rows) -> int:
+    """Bareiss elimination that updates every row below the pivot, the
+    library's kernel before it learned to skip zero multipliers."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        row_k = m[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            factor = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def loop_valuation(n: int, p: int) -> int:
+    """v_p(n) of a nonzero integer, one division by p at a time."""
+    n = abs(n)
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def simple_cycle_weights(g: DirectedMultigraph) -> set:
     """Weights of all vertex-simple directed cycles of the doubled graph
     (each original edge plus a reverse partner of weight -1)."""

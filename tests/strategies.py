@@ -6,8 +6,8 @@ from voltage_tower import DirectedMultigraph
 
 
 @st.composite
-def connected_multigraphs(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def connected_multigraphs(draw, max_vertices=5):
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
     tree = [
         (draw(st.integers(min_value=0, max_value=v - 1)), v)
         for v in range(1, n)

@@ -1,4 +1,9 @@
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from voltage_tower.backend import bareiss_determinant
+
+from oracles import dense_bareiss, fraction_determinant
 
 
 def test_kernels_do_not_mutate_input():
@@ -23,3 +28,41 @@ def test_big_integer_entries_stay_exact():
         - 0
     )
     assert bareiss_determinant(rows) == expected
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square matrices of size 0 to 10 with at most three nonzero entries
+    a row, small or with 30 or more digits: zero multipliers, zero pivots
+    and singular matrices are all common."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    nonzero = (
+        st.sampled_from((-3, -2, -1, 1, 2, 3))
+        | st.integers(min_value=10**30, max_value=10**40)
+        | st.integers(min_value=-(10**40), max_value=-(10**30))
+    )
+    rows = []
+    for _ in range(n):
+        row = [0] * n
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+            row[j] = draw(nonzero)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=sparse_matrices())
+# row 2 skips step 0 and is swapped in as the pivot of step 1, where row
+# 1 has become zero; row 3 is next updated at step 2, behind two pivots
+@example(rows=[[2, 3, 1, 1], [4, 6, 5, 1], [0, 5, 1, 2], [0, 0, 1, 3]])
+# row 3, one pivot behind, is swapped with row 1, which is up to date: a
+# divisor left behind by the swap leaves the pivot of step 1 unscaled
+@example(rows=[[-3, 0, -3, 1], [-1, 0, 0, 0], [-1, 0, 0, -1], [0, 2, 0, 0]])
+# triangular: the last row is never updated and owes the final scaling
+@example(rows=[[2, 1], [0, 3]])
+def test_sparse_kernel_matches_dense_and_rational_elimination(rows):
+    snapshot = [r[:] for r in rows]
+    det = bareiss_determinant(rows)
+    assert rows == snapshot
+    assert det == dense_bareiss(rows)
+    assert det == fraction_determinant(rows)

@@ -555,6 +555,24 @@ def test_verify_single_loop_bouquet(tmp_path, capsys):
     ]
 
 
+def test_verify_a_tall_tower_with_a_huge_valuation(tmp_path, capsys):
+    # a 2 KB document under every cap: 64 loops at p = 2 give a top kappa
+    # with ord_2 = 393,226, which a valuation taken one factor of p at a
+    # time needs about a minute to read
+    src = tmp_path / "b64.json"
+    write_graph(bouquet(64), str(src))
+    code, stdout, _ = run(
+        ["verify", "-i", str(src), "--p", "2", "--n-max", "16", "--json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(stdout)
+    assert (doc["mu"], doc["lambda"], doc["fitted_nu"]) == (6, 1, -6)
+    assert [lvl["ord_p"] for lvl in doc["levels"]] == [
+        6 * 2**n + n - 6 for n in range(17)
+    ]
+
+
 def test_verify_rejects_small_n_max(tmp_path, capsys):
     src = tmp_path / "c.json"
     write_graph(directed_cycle(3), str(src))

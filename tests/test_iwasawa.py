@@ -38,11 +38,12 @@ from voltage_tower import (
     weierstrass,
 )
 from voltage_tower import iwasawa
+from voltage_tower.arith import valuation
 from voltage_tower.backend import bareiss_determinant
 from voltage_tower.linalg import _laplacian_rows
 from voltage_tower.tower import CHARPOLY_VERTEX_CAP
 
-from oracles import charpoly_2r_plus_1
+from oracles import charpoly_2r_plus_1, loop_valuation
 from strategies import (
     connected_multigraphs,
     looped_multigraphs,
@@ -140,6 +141,23 @@ def test_char_poly_matches_the_cleared_matrix_off_the_nodes(g, data):
     assert char_poly(g)(x) == bareiss_determinant(cleared)
 
 
+@settings(max_examples=60, deadline=None)
+@given(g=connected_multigraphs(max_vertices=12), data=st.data())
+def test_char_poly_is_invariant_under_relabeling(g, data):
+    # char_poly eliminates in its own vertex order, so the input labels
+    # must not matter
+    r = g.vertex_count
+    perm = data.draw(st.permutations(range(r)))
+    relabeled = DirectedMultigraph(
+        r, tuple((perm[s], perm[t]) for s, t in g.edges)
+    )
+    assert char_poly(relabeled) == char_poly(g)
+    adj = adjacency_matrix(g)
+    order = iwasawa._min_degree_order(adj)
+    assert sorted(order) == list(range(r))
+    assert iwasawa._min_degree_order(adj) == order
+
+
 def test_char_poly_rejects_a_linear_term(monkeypatch):
     # directed_cycle(3) evaluates Dk - Ak^2 - A^t with 2k on the diagonal;
     # answering k^3 there gives Q(x) = x^3 S(x + 1/x) with S = 1, a
@@ -219,6 +237,18 @@ def test_char_poly_refuses_a_graph_over_the_cap_before_any_matrix(
     monkeypatch.setattr(iwasawa, "adjacency_matrix", no_matrix)
     with pytest.raises(TooLargeError):
         char_poly(directed_cycle(CHARPOLY_VERTEX_CAP + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 313)),
+    k=st.integers(min_value=0, max_value=300),
+    u=st.integers(min_value=1, max_value=10**30),
+    sign=st.sampled_from((1, -1)),
+)
+def test_valuation_matches_the_division_loop(p, k, u, sign):
+    n = sign * p**k * u
+    assert valuation(n, p) == loop_valuation(n, p)
 
 
 def test_weierstrass_examples():
