@@ -1,20 +1,23 @@
 """Small exact-integer helpers used throughout the package."""
 
+import math
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here are small moduli."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from .errors import InvalidPrimeError, TooLargeError
+
+# Largest p accepted: trial division then tries at most 2^16 divisors.
+PRIME_CAP = 2**32
+
+
+def require_prime(p: int) -> None:
+    """The one check of a voltage modulus p: InvalidPrimeError unless p is
+    an ``int`` (not a bool) and prime; TooLargeError above PRIME_CAP,
+    before any trial division."""
+    if type(p) is not int:
+        raise InvalidPrimeError(f"p must be an integer, not {p!r}")
+    if p > PRIME_CAP:
+        raise TooLargeError(f"p = {p} exceeds the cap of {PRIME_CAP}")
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise InvalidPrimeError(f"{p} is not prime")
 
 
 def valuation(n: int, p: int) -> int:

@@ -4,11 +4,13 @@ Subcommands: gen, derive, invariants, verify, export-dot, oracle.  Data
 goes to stdout or the -o path; diagnostics go to stderr.  Exit codes:
 0 success, 1 internal error (an identity the theory guarantees failed:
 a bug), 2 invalid parameters or malformed input (an empty graph
-included), 3 non-unit parameter, 4 no tower exists, 5 growth-law
+included, and an undirected graph given to derive, invariants or
+verify), 3 non-unit parameter, 4 no tower exists, 5 growth-law
 mismatch, 6 size cap exceeded (the oracle's edge cap, the derived-vertex
-cap on a tower level or on an input graph's vertex count, the
-derived-edge cap of derive, or the vertex cap of the characteristic
-polynomial behind invariants and verify).
+cap on a tower level, on an input graph's vertex count or on a gen
+family, the derived-edge cap of derive or of a gen family, the vertex
+cap of the characteristic polynomial behind invariants and verify, or a
+p above 2^32).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .generators import (
-    CRATER_BARE,
-    CRATER_TWO_LOOPS,
     CraterSpec,
     VolcanoSpec,
     bouquet,
@@ -61,24 +61,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def parse_crater(token: str) -> CraterSpec:
-    if token.startswith("cycle:"):
-        try:
-            k = int(token.split(":", 1)[1])
-        except ValueError:
-            raise InvalidSpecError(f"bad crater token {token!r}") from None
-        return CraterSpec.cycle(k)
-    if token == "one-loop":
-        return CraterSpec.one_loop()
-    if token == CRATER_TWO_LOOPS:
-        return CraterSpec.two_loops()
-    if token == CRATER_BARE:
-        return CraterSpec.bare()
-    raise InvalidSpecError(
-        f"unknown crater {token!r}; use cycle:K, one-loop, two-loops or bare"
-    )
-
-
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -93,7 +75,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif args.family == "bouquet":
         g = bouquet(args.loops)
     else:
-        spec = VolcanoSpec(args.l, args.depth, parse_crater(args.crater))
+        spec = VolcanoSpec(args.l, args.depth, CraterSpec.from_token(args.crater))
         g = volcano(spec)
         if args.family == "doubled-volcano":
             g = doubled(g)

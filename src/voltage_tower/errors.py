@@ -19,8 +19,9 @@ class NotSquareError(VoltageTowerError):
 
 class TooLargeError(VoltageTowerError):
     """Input exceeds a hard size cap: the brute-force oracle's edge cap,
-    the derived-vertex or derived-edge cap of a tower, or the vertex cap
-    of a characteristic polynomial."""
+    the derived-vertex or derived-edge cap of a tower or a generated
+    graph, the vertex cap of a characteristic polynomial, or the cap on
+    p."""
 
 
 class ZeroPolynomialError(VoltageTowerError):
@@ -33,7 +34,7 @@ class NonIntegralInterpolationError(VoltageTowerError):
 
 
 class InvalidPrimeError(VoltageTowerError):
-    """Voltage modulus is not a prime."""
+    """Voltage modulus is not a prime ``int``."""
 
 
 class NotAUnitError(VoltageTowerError):

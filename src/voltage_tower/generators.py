@@ -17,8 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidSpecError, NotConnectedError
+from .errors import InvalidSpecError, NotConnectedError, TooLargeError
 from .graph import DirectedMultigraph, is_connected
+from .tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
 
 CRATER_CYCLE = "cycle"
 CRATER_TWO_LOOPS = "two-loops"
@@ -55,6 +56,24 @@ class CraterSpec:
     def bare(cls) -> "CraterSpec":
         return cls(CRATER_BARE)
 
+    @classmethod
+    def from_token(cls, token: str) -> "CraterSpec":
+        """The crater ``token`` names: ``cycle:K``, ``one-loop`` (which
+        is ``cycle:1``), ``two-loops`` or ``bare``."""
+        if token.startswith("cycle:"):
+            try:
+                k = int(token.split(":", 1)[1])
+            except ValueError:
+                raise InvalidSpecError(f"bad crater token {token!r}") from None
+            return cls.cycle(k)
+        if token == "one-loop":
+            return cls.one_loop()
+        if token in (CRATER_TWO_LOOPS, CRATER_BARE):
+            return cls(token)
+        raise InvalidSpecError(
+            f"unknown crater {token!r}; use cycle:K, one-loop, two-loops or bare"
+        )
+
     @property
     def vertex_count(self) -> int:
         return self.length if self.kind == CRATER_CYCLE else 1
@@ -88,9 +107,21 @@ class VolcanoSpec:
             raise InvalidSpecError("depth must be non-negative")
 
 
+def _check_size(name: str, vertices: int, edges: int) -> None:
+    """Raise TooLargeError, before anything is built, for a graph past the
+    caps every other command holds its input and output to."""
+    if vertices > DERIVED_VERTEX_CAP:
+        raise TooLargeError(
+            f"{name} exceeds the cap of {DERIVED_VERTEX_CAP} vertices"
+        )
+    if edges > DERIVED_EDGE_CAP:
+        raise TooLargeError(f"{name} exceeds the cap of {DERIVED_EDGE_CAP} edges")
+
+
 def directed_cycle(k: int) -> DirectedMultigraph:
     if k < 1:
         raise InvalidSpecError("cycle needs at least one vertex")
+    _check_size(f"cycle({k})", k, k)
     edges = tuple((i, (i + 1) % k) for i in range(k))
     return DirectedMultigraph(k, edges, name=f"cycle({k})")
 
@@ -98,6 +129,7 @@ def directed_cycle(k: int) -> DirectedMultigraph:
 def bouquet(loops: int) -> DirectedMultigraph:
     if loops < 0:
         raise InvalidSpecError("loop count must be non-negative")
+    _check_size(f"bouquet({loops})", 1, loops)
     return DirectedMultigraph(
         1, tuple((0, 0) for _ in range(loops)), name=f"bouquet({loops})"
     )
@@ -120,6 +152,24 @@ def volcano(spec: VolcanoSpec) -> DirectedMultigraph:
     construction is reproducible byte for byte."""
     crater = spec.crater
     k = crater.vertex_count
+    # Children per parent, level by level: crater vertices are filled up to
+    # degree l+1, deeper internal vertices carry one parent edge plus l
+    # children.  Every level but the first at least doubles, so counting
+    # stops past the cap within about twenty levels whatever the depth.
+    fan_outs: list[int] = []
+    vertices = width = k
+    for level in range(1, spec.depth + 1):
+        if vertices > DERIVED_VERTEX_CAP:
+            break
+        fan_outs.append(
+            spec.l + 1 - crater.internal_degree if level == 1 else spec.l
+        )
+        width *= fan_outs[-1]
+        vertices += width
+    name = f"volcano(l={spec.l},d={spec.depth},crater={crater.token})"
+    # one edge per vertex below the crater, and at most k + 1 in a crater
+    # of k vertices (two loops on one vertex)
+    _check_size(name, vertices, vertices + 1)
     edges: list[tuple[int, int]] = []
     if crater.kind == CRATER_CYCLE:
         if crater.length == 1:
@@ -129,27 +179,17 @@ def volcano(spec: VolcanoSpec) -> DirectedMultigraph:
     elif crater.kind == CRATER_TWO_LOOPS:
         edges.extend([(0, 0), (0, 0)])
     next_vertex = k
-    if spec.depth >= 1:
-        # crater vertices are filled up to degree l+1; deeper internal
-        # vertices carry one parent edge plus l children
-        parents = list(range(k))
-        for level in range(1, spec.depth + 1):
-            per_parent = (
-                spec.l + 1 - crater.internal_degree if level == 1 else spec.l
-            )
-            children: list[int] = []
-            for parent in parents:
-                for _ in range(per_parent):
-                    child = next_vertex
-                    next_vertex += 1
-                    edges.append((parent, child))
-                    children.append(child)
-            parents = children
-    return DirectedMultigraph(
-        next_vertex,
-        tuple(edges),
-        name=f"volcano(l={spec.l},d={spec.depth},crater={crater.token})",
-    )
+    parents = list(range(k))
+    for per_parent in fan_outs:
+        children: list[int] = []
+        for parent in parents:
+            for _ in range(per_parent):
+                child = next_vertex
+                next_vertex += 1
+                edges.append((parent, child))
+                children.append(child)
+        parents = children
+    return DirectedMultigraph(next_vertex, tuple(edges), name=name)
 
 
 def total_degree(g: DirectedMultigraph) -> int:

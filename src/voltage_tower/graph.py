@@ -25,6 +25,10 @@ class DirectedMultigraph:
     vertex); ``name`` identifies the graph in documents and reports.
     ``undirected`` marks an undirected image (see
     :func:`underlying_undirected`): its edges are unordered pairs.
+
+    The constructor is the one graph validator, and it converts nothing:
+    ``vertex_count`` and the endpoints are ``int`` (not bool), ``edges`` and
+    ``vertex_labels`` are tuples, and anything else raises ValueError.
     """
 
     vertex_count: int
@@ -34,18 +38,28 @@ class DirectedMultigraph:
     undirected: bool = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(s), int(t)) for s, t in self.edges)
-        )
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        for s, t in self.edges:
-            if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
-                raise ValueError(f"edge ({s},{t}) leaves vertex range")
-        if self.vertex_labels is not None:
-            object.__setattr__(self, "vertex_labels", tuple(self.vertex_labels))
-            if len(self.vertex_labels) != self.vertex_count:
-                raise ValueError("vertex_labels length must equal vertex_count")
+        n, labels = self.vertex_count, self.vertex_labels
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex_count must be an integer >= 0, not {n!r}")
+        if type(self.edges) is not tuple:
+            raise ValueError("edges must be a tuple")
+        for e in self.edges:
+            if not (
+                type(e) is tuple
+                and len(e) == 2
+                and type(e[0]) is type(e[1]) is int
+                and 0 <= e[0] < n
+                and 0 <= e[1] < n
+            ):
+                raise ValueError(f"bad edge {e!r} for {n} vertices")
+        if labels is not None and not (
+            type(labels) is tuple
+            and len(labels) == n
+            and all(type(x) is str for x in labels)
+        ):
+            raise ValueError(f"vertex_labels must be None or {n} strings")
+        if type(self.name) is not str or type(self.undirected) is not bool:
+            raise ValueError("name must be a string and undirected a bool")
 
     @property
     def edge_count(self) -> int:
@@ -93,6 +107,18 @@ def underlying_undirected(g: DirectedMultigraph) -> DirectedMultigraph:
         f"undirected({g.name})",
         undirected=True,
     )
+
+
+def require_orientation(g: DirectedMultigraph) -> None:
+    """Raise ValueError on an undirected image.  A constant voltage
+    assignment gives each edge its value along the edge's orientation, and
+    the (min, max) pair of an undirected edge has none: read as one, it
+    would make the answer depend on the vertex numbering."""
+    if g.undirected:
+        raise ValueError(
+            f"{g.name} is undirected: a constant voltage assignment needs "
+            "an orientation"
+        )
 
 
 def degree_profile(g: DirectedMultigraph) -> DegreeProfile:
@@ -174,8 +200,9 @@ def cycle_weight_profile(
     assigns each vertex the signed weight of its tree path (forward
     traversal of an edge counts +1, backward -1), and takes the gcd of the
     fundamental cycle weights theta(u) + 1 - theta(w) of the non-tree
-    edges (u, w).
+    edges (u, w).  Undirected images raise ValueError.
     """
+    require_orientation(g)
     if not is_connected(g):
         raise NotConnectedError("cycle weights need a connected graph")
     n = g.vertex_count

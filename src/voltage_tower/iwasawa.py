@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import is_prime, valuation
+from .arith import require_prime, valuation
 from .backend import bareiss_determinant
 from .errors import (
-    InvalidPrimeError,
     NoTowerError,
     NotConnectedError,
     StructureViolationError,
@@ -42,6 +41,7 @@ from .graph import (
     is_adjacency_normal,
     is_connected,
     is_total_degree_constant,
+    require_orientation,
 )
 from .linalg import _interpolate_integer, cyclotomic_resultants, kirchhoff_count
 from .polynomial import IntPolynomial
@@ -132,9 +132,11 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     exact divisions give the s_j.
 
     Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
-    out at least a double root: T^2 divides P(T), checked here.  Graphs
-    with more than CHARPOLY_VERTEX_CAP vertices raise TooLargeError first.
+    out at least a double root: T^2 divides P(T), checked here.  Undirected
+    images raise ValueError and graphs with more than CHARPOLY_VERTEX_CAP
+    vertices TooLargeError, both first.
     """
+    require_orientation(g)
     r = g.vertex_count
     if r > CHARPOLY_VERTEX_CAP:
         raise TooLargeError(
@@ -191,8 +193,7 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
 def weierstrass(poly: IntPolynomial, p: int) -> tuple[int, int]:
     """(mu_total, lam_total): the least coefficient valuation and the first
     index attaining it, read straight off the integer coefficients."""
-    if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
+    require_prime(p)
     if poly.is_zero:
         raise ZeroPolynomialError("zero polynomial has no Weierstrass data")
     mu_total = None
@@ -220,8 +221,7 @@ def invariants(g: DirectedMultigraph, p: int) -> IwasawaInvariants:
     cross-validation suite, including mu > 0 towers with n0 > 0 where the
     two exponents genuinely differ.)
     """
-    if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
+    require_prime(p)
     profile = cycle_weight_profile(g)
     n0 = stabilization_level(profile, p)
     if n0 is None:
@@ -264,8 +264,7 @@ def verify_growth(
     which the identity holds on all recorded data.  The report carries
     ``invariants(g, p)``, computed once here.
     """
-    if not is_prime(p):  # before the size check, whose loop needs p >= 2
-        raise InvalidPrimeError(f"{p} is not prime")
+    require_prime(p)  # before the size check, whose loop needs p >= 2
     check_derived_size(g.vertex_count, p, n_max)
     inv = invariants(g, p)
     n0 = inv.n0
@@ -342,7 +341,9 @@ def check_theorem_hypotheses(g: DirectedMultigraph, p: int) -> TheoremHypotheses
     mu_zero_hyp: constant total degree coprime to p and a normal adjacency
     matrix (forces mu = 0).  balanced_hyp: balanced, a cycle weight coprime
     to p when p = 2, and p does not divide k * kappa where k is the edge
-    count (forces mu = 0, lambda = 1)."""
+    count (forces mu = 0, lambda = 1).  Undirected images raise
+    ValueError."""
+    require_orientation(g)
     if not is_connected(g):
         raise NotConnectedError("hypothesis checks need a connected graph")
     prof = degree_profile(g)

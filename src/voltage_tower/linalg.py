@@ -15,10 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import is_prime
+from .arith import require_prime
 from .backend import bareiss_determinant
 from .errors import (
-    InvalidPrimeError,
     NonIntegralInterpolationError,
     NotConnectedError,
     NotSquareError,
@@ -285,8 +284,7 @@ def cyclotomic_resultants(
     (p-1) x (p-1) Bareiss determinant; a factor Phi_{p^k} of Q gives 0.  The
     step's divisions are exact, so a remainder raises StructureViolationError.
     """
-    if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
+    require_prime(p)
     if poly.is_zero:
         raise ZeroPolynomialError("resultant against the zero polynomial")
     f = list(poly.coefficients)

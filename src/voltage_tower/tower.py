@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import is_prime, valuation
+from .arith import require_prime, valuation
 from .errors import (
     EmptyGraphError,
-    InvalidPrimeError,
     NoTowerError,
     NotAUnitError,
     StructureViolationError,
@@ -26,6 +25,7 @@ from .graph import (
     DirectedMultigraph,
     components,
     cycle_weight_profile,
+    require_orientation,
     subgraph,
 )
 
@@ -39,8 +39,7 @@ class ConstantVoltage:
     param: int = 1
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvalidPrimeError(f"{self.p} is not prime")
+        require_prime(self.p)
 
     @property
     def is_unit(self) -> bool:
@@ -102,8 +101,9 @@ def derive(
 
     Level 0 wraps the base graph unchanged.  Past DERIVED_VERTEX_CAP
     vertices or DERIVED_EDGE_CAP edges, TooLargeError is raised before
-    anything is built.
+    anything is built.  Undirected images raise ValueError.
     """
+    require_orientation(base)
     if n < 0:
         raise ValueError("level must be non-negative")
     check_derived_size(base.vertex_count, voltage.p, n)

@@ -3,6 +3,7 @@ against.  These deliberately share no code with the package."""
 
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -76,6 +77,12 @@ def loop_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def one_conversion_decimal_str(n: int) -> str:
+    """Decimal digits of n by one ``Decimal`` conversion, with no digit
+    limit; quadratic in the size of n."""
+    return str(Decimal(n))
 
 
 def simple_cycle_weights(g: DirectedMultigraph) -> set:

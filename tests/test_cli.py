@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voltage_tower import (
@@ -24,6 +24,7 @@ from voltage_tower import (
 from voltage_tower import cli, iwasawa, tower
 from voltage_tower.cli import _report_table, main
 from voltage_tower.documents import (
+    DECIMAL_LEAF_BITS,
     DocumentError,
     decimal_str,
     graph_from_document,
@@ -35,6 +36,9 @@ from voltage_tower.documents import (
     tower_report_to_document,
     write_graph,
 )
+from voltage_tower.tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
+
+from oracles import one_conversion_decimal_str
 
 
 def run(argv, capsys):
@@ -75,7 +79,9 @@ def documented_graphs(draw):
     if n:
         vertex = st.integers(min_value=0, max_value=n - 1)
         edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
-    labels = draw(st.none() | st.lists(_TEXT, min_size=n, max_size=n))
+    labels = draw(
+        st.none() | st.lists(_TEXT, min_size=n, max_size=n).map(tuple)
+    )
     return DirectedMultigraph(
         n, tuple(edges), labels, draw(_TEXT), undirected=draw(st.booleans())
     )
@@ -160,6 +166,23 @@ def test_graph_document_rejects_booleans_as_integers(tmp_path, capsys):
     assert "vertex_count" in err
 
 
+_NOT_AN_INT = st.floats() | st.text(max_size=3) | st.booleans() | st.none()
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=_NOT_AN_INT, where=st.sampled_from(["vertex_count", 0, 1]))
+def test_only_ints_count_vertices_and_name_endpoints(bad, where):
+    vertex_count, edge = 2, [0, 1]
+    if where == "vertex_count":
+        vertex_count = bad
+    else:
+        edge[where] = bad
+    with pytest.raises(ValueError):
+        DirectedMultigraph(vertex_count, (tuple(edge),))
+    with pytest.raises(DocumentError):
+        graph_from_document(_graph_doc(vertex_count=vertex_count, edges=[edge]))
+
+
 def test_gen_matches_in_memory_constructions(tmp_path, capsys):
     out = tmp_path / "c.json"
     code, _, _ = run(["gen", "cycle", "--length", "3", "-o", str(out)], capsys)
@@ -218,6 +241,27 @@ def test_gen_rejects_bad_params(capsys):
     assert "l >= 2" in err
     code, _, err = run(["gen", "volcano", "--crater", "pyramid"], capsys)
     assert code == 2
+
+
+def test_gen_refuses_graphs_past_the_caps(capsys):
+    over = DERIVED_VERTEX_CAP + 1
+    for args in (
+        ["cycle", "--length", str(over)],
+        ["cycle", "--length", str(10**9)],
+        ["bouquet", "--loops", str(DERIVED_EDGE_CAP + 1)],
+        ["bouquet", "--loops", str(10**9)],
+        # 1 + (l + 1) vertices at depth 1 on a bare crater
+        ["volcano", "--l", str(over - 2), "--depth", "1", "--crater", "bare"],
+        ["volcano", "--depth", "0", "--crater", f"cycle:{over}"],
+        ["volcano", "--depth", "40"],
+        ["volcano", "--depth", str(10**9)],
+        ["doubled-volcano", "--l", str(over - 2), "--depth", "1", "--crater", "bare"],
+        ["doubled-volcano", "--depth", "40"],
+    ):
+        code, stdout, err = run(["gen", *args], capsys)
+        assert code == 6, args
+        assert stdout == ""
+        assert "exceeds the cap" in err
 
 
 def test_derive_command(tmp_path, capsys):
@@ -349,6 +393,40 @@ def test_invariants_rejects_composite_p(tmp_path, capsys):
         assert code == 2
         assert stdout == ""
         assert "4 is not prime" in err
+
+
+def test_a_prime_over_its_cap_exits_6_at_once(tmp_path, capsys):
+    # 2^61 - 1 is prime, and trial division would take minutes to say so
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    p = str(2**61 - 1)
+    for argv in (
+        ["invariants", "-i", str(src), "--p", p],
+        ["verify", "-i", str(src), "--p", p, "--n-max", "2"],
+        ["derive", "-i", str(src), "--p", p, "--level", "1"],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 6, argv
+        assert stdout == ""
+        assert "exceeds the cap of 4294967296" in err
+
+
+def test_tower_commands_refuse_an_undirected_image(tmp_path, capsys):
+    # cycle(3) at p = 3 has n0 = 1 and lambda_total = 6; its (min, max)
+    # pairs, read as an orientation, would give n0 = 0 and lambda_total = 2
+    src = tmp_path / "u.json"
+    write_graph(underlying_undirected(directed_cycle(3)), str(src))
+    for argv in (
+        ["derive", "-i", str(src), "--p", "3", "--level", "1"],
+        ["invariants", "-i", str(src), "--p", "3"],
+        ["verify", "-i", str(src), "--p", "3", "--n-max", "3"],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2, argv
+        assert stdout == ""
+        assert "needs an orientation" in err
+    code, stdout, _ = run(["oracle", "-i", str(src)], capsys)
+    assert (code, stdout) == (0, "3\n")
 
 
 def test_verify_command(tmp_path, capsys):
@@ -537,6 +615,23 @@ def test_integers_past_the_int_str_digit_limit_serialise():
 def test_small_integers_keep_their_decimal_bytes():
     for n in (0, 1, -1, 7, -12, 10**30, -(2**200), 10**4299):
         assert decimal_str(n) == str(n)
+
+
+@st.composite
+def integers_around_the_leaf(draw):
+    bits = draw(st.integers(min_value=0, max_value=4 * DECIMAL_LEAF_BITS))
+    n = draw(st.integers(min_value=1 << bits >> 1, max_value=(1 << bits) - 1))
+    return draw(st.sampled_from((n, -n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=integers_around_the_leaf())
+@example(n=2**DECIMAL_LEAF_BITS - 1)
+@example(n=2**DECIMAL_LEAF_BITS)
+@example(n=-(2**DECIMAL_LEAF_BITS) - 1)
+@example(n=-(10**5000))
+def test_decimal_str_matches_one_decimal_conversion(n):
+    assert decimal_str(n) == one_conversion_decimal_str(n)
 
 
 def test_verify_single_loop_bouquet(tmp_path, capsys):

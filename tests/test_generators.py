@@ -13,6 +13,7 @@ from voltage_tower import (
     InvalidSpecError,
     NoTowerError,
     NotConnectedError,
+    TooLargeError,
     VolcanoShape,
     VolcanoSpec,
     VoltageTowerError,
@@ -36,6 +37,7 @@ from voltage_tower import (
     volcano,
     volcano_total_degree,
 )
+from voltage_tower.tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
 
 ALL_CRATERS = [
     CraterSpec.cycle(1),
@@ -65,6 +67,33 @@ def test_crater_spec_validation():
     with pytest.raises(InvalidSpecError):
         VolcanoSpec(2, -1, CraterSpec.cycle(3))
     assert CraterSpec.one_loop() == CraterSpec.cycle(1)
+
+
+def test_crater_tokens_round_trip():
+    for crater in ALL_CRATERS:
+        assert CraterSpec.from_token(crater.token) == crater
+    assert CraterSpec.one_loop().token == "cycle:1"
+    assert CraterSpec.from_token("one-loop") == CraterSpec.one_loop()
+    for token in ("pyramid", "cycle:", "cycle:x", "cycle:0", "one-loop:1"):
+        with pytest.raises(InvalidSpecError):
+            CraterSpec.from_token(token)
+
+
+def test_generators_stop_at_the_caps_before_building():
+    cap = DERIVED_VERTEX_CAP
+    assert directed_cycle(cap).vertex_count == cap
+    # a bare crater with l + 1 children: 1 + (l + 1) vertices
+    assert volcano(VolcanoSpec(cap - 2, 1, CraterSpec.bare())).vertex_count == cap
+    for build in (
+        lambda: directed_cycle(cap + 1),
+        lambda: bouquet(DERIVED_EDGE_CAP + 1),
+        lambda: volcano(VolcanoSpec(cap - 1, 1, CraterSpec.bare())),
+        lambda: volcano(VolcanoSpec(2, 0, CraterSpec.cycle(cap + 1))),
+        lambda: volcano(VolcanoSpec(2, 10**18, CraterSpec.cycle(3))),
+        lambda: volcano(VolcanoSpec(10**18, 1, CraterSpec.two_loops())),
+    ):
+        with pytest.raises(TooLargeError):
+            build()
 
 
 def test_volcano_vertex_counts():

@@ -31,6 +31,31 @@ def test_edge_validation():
         DirectedMultigraph(1, ((0, 0),), vertex_labels=("a", "b"))
 
 
+def test_the_constructor_converts_nothing():
+    edges = ((0, 1), (1, 1))
+    assert DirectedMultigraph(2, edges).edges is edges
+    for args, kwargs in (
+        ((2, ((0.9, 1.7),)), {}),
+        ((2, (("0", "1"),)), {}),
+        ((2, ((True, False),)), {}),
+        ((2, ((0, None),)), {}),
+        ((2.5, ((0, 1),)), {}),
+        ((True, ()), {}),
+        ((-1, ()), {}),
+        ((2, [(0, 1)]), {}),
+        ((2, ([0, 1],)), {}),
+        ((2, ((0, 1, 1),)), {}),
+        ((2, ((0,),)), {}),
+        ((2, ((0, -1),)), {}),
+        ((2, ()), {"vertex_labels": ["a", "b"]}),
+        ((2, ()), {"vertex_labels": ("a", 1)}),
+        ((2, ()), {"name": None}),
+        ((2, ()), {"undirected": 1}),
+    ):
+        with pytest.raises(ValueError):
+            DirectedMultigraph(*args, **kwargs)
+
+
 def test_underlying_undirected_keeps_multiplicity():
     g = DirectedMultigraph(2, ((0, 1), (1, 0)))
     u = underlying_undirected(g)

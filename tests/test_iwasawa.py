@@ -24,6 +24,7 @@ from voltage_tower import (
     char_poly,
     check_theorem_hypotheses,
     cycle_weight_profile,
+    cyclotomic_resultants,
     degree_profile,
     directed_cycle,
     doubled,
@@ -38,7 +39,7 @@ from voltage_tower import (
     weierstrass,
 )
 from voltage_tower import iwasawa
-from voltage_tower.arith import valuation
+from voltage_tower.arith import PRIME_CAP, require_prime, valuation
 from voltage_tower.backend import bareiss_determinant
 from voltage_tower.linalg import _laplacian_rows
 from voltage_tower.tower import CHARPOLY_VERTEX_CAP
@@ -268,6 +269,30 @@ def test_composite_p_is_rejected():
         # p = 1 reaching the size check would loop 10^12 times
         with pytest.raises(InvalidPrimeError):
             verify_growth(bouquet(2), p, 10**12)
+
+
+def test_require_prime_takes_ints_up_to_its_cap():
+    require_prime(2)
+    require_prime(4_294_967_291)  # the largest prime below PRIME_CAP = 2^32
+    for p in (2.5, 3.0, True, "3", None):
+        with pytest.raises(InvalidPrimeError):
+            require_prime(p)
+    # 2^61 - 1 is prime: trial division would take minutes
+    for p in (PRIME_CAP + 1, 2**61 - 1):
+        with pytest.raises(TooLargeError):
+            require_prime(p)
+    for call in (
+        lambda p: weierstrass(IntPolynomial((0, 0, -2)), p),
+        lambda p: invariants(directed_cycle(3), p),
+        lambda p: verify_growth(directed_cycle(3), p, 3),
+        ConstantVoltage,
+        lambda p: cyclotomic_resultants(IntPolynomial((-2, 1)), p, 2),
+    ):
+        for p in (2.5, 3.0, True):
+            with pytest.raises(InvalidPrimeError):
+                call(p)
+        with pytest.raises(TooLargeError):
+            call(2**61 - 1)
 
 
 @settings(max_examples=30, deadline=None)

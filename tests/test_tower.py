@@ -10,6 +10,8 @@ from voltage_tower import (
     NotAUnitError,
     TooLargeError,
     bouquet,
+    char_poly,
+    check_theorem_hypotheses,
     component_count,
     cycle_weight_profile,
     derive,
@@ -21,6 +23,7 @@ from voltage_tower import (
     stabilization_level,
     subgraph,
     tower_component,
+    underlying_undirected,
 )
 from voltage_tower.documents import read_graph, write_graph
 from voltage_tower.graph import components
@@ -40,6 +43,22 @@ def test_voltage_validates_prime():
         ConstantVoltage(4)
     assert ConstantVoltage(2, 3).is_unit
     assert not ConstantVoltage(3, 6).is_unit
+
+
+def test_tower_computations_refuse_an_undirected_image():
+    # read as an orientation, (min, max) pairs make the answer depend on
+    # the vertex numbering
+    und = underlying_undirected(directed_cycle(3))
+    for compute in (
+        cycle_weight_profile,
+        char_poly,
+        lambda g: check_theorem_hypotheses(g, 3),
+        lambda g: derive(g, ConstantVoltage(3), 1),
+        lambda g: tower_component(g, ConstantVoltage(3), 1),
+    ):
+        with pytest.raises(ValueError, match="needs an orientation"):
+            compute(und)
+    assert kirchhoff_count(und) == 3
 
 
 def test_derive_level_zero_is_identity():
