@@ -70,7 +70,6 @@ from .linalg import (
     cyclotomic_resultants,
     determinant,
     kirchhoff_count,
-    smith_normal_form,
 )
 from .polynomial import IntPolynomial
 from .tower import (
@@ -79,7 +78,6 @@ from .tower import (
     component_count,
     derive,
     predicted_component_count,
-    relabel_by_unit,
     stabilization_level,
     tower_component,
 )

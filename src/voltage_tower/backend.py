@@ -8,9 +8,19 @@ scalings telescope.  So the kernel leaves such a row as it is and keeps in
 Bareiss row is always the stored row times prev / div[i], with prev the
 latest pivot.  On the sparse matrices the package eliminates, most
 multipliers are zero and most row updates are skipped.
+
+``bareiss_determinant`` finds those rows itself and serves any single
+matrix.  ``replay_determinant`` serves many matrices of one sparsity
+pattern, the charpoly's r + 1 evaluations: the caller works out the
+elimination order and its fill once, as a schedule, and the replay visits
+only the scheduled rows and columns, under the same invariant.  It falls
+back to ``bareiss_determinant`` on a numerically zero pivot.
 """
 
 from __future__ import annotations
+
+# (v, cols, updates) per pivot v, in elimination order; see replay_determinant
+Schedule = list[tuple[int, list[int], list[tuple[int, list[int]]]]]
 
 
 def bareiss_determinant(rows: list[list[int]]) -> int:
@@ -59,3 +69,45 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
             div[i] = pivot
         prev = pivot
     return sign * (m[n - 1][n - 1] * prev // div[n - 1])
+
+
+def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int:
+    """Exact determinant by fraction-free elimination along a schedule
+    worked out on the sparsity pattern of ``rows``.
+
+    One step (v, cols, updates) per row, in elimination order: row v is
+    the pivot, ``cols`` are its columns not yet eliminated, v included,
+    and ``updates`` pairs each row u that v updates with u's columns after
+    the fill, u included.  Rows and columns keep their indices, so pivot v
+    sits at (v, v): the schedule's order acts as a symmetric permutation,
+    which changes no determinant.  An entry the schedule never visits must
+    be zero.
+
+    The divisors follow ``bareiss_determinant``: stored row u times
+    prev / div[u] is the Bareiss row, so every division is exact.  A pivot
+    that is zero with rows left to update makes the order unusable, and
+    the matrix goes to ``bareiss_determinant`` instead; one with none left
+    sits on a zero row of the remaining block, so the determinant is 0.
+    The input is not modified.
+    """
+    m = [list(r) for r in rows]
+    div = [1] * len(m)
+    prev = 1
+    for v, cols, updates in schedule:
+        row_v = m[v]
+        if div[v] != prev:
+            d = div[v]
+            for j in cols:
+                row_v[j] = row_v[j] * prev // d
+        pivot = row_v[v]
+        if pivot == 0:
+            return bareiss_determinant(rows) if updates else 0
+        for u, cols_u in updates:
+            row_u = m[u]
+            factor = row_u[v]
+            d = div[u]
+            for j in cols_u:
+                row_u[j] = (pivot * row_u[j] - factor * row_v[j]) // d
+            div[u] = pivot
+        prev = pivot
+    return prev

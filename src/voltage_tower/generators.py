@@ -58,14 +58,18 @@ class CraterSpec:
 
     @classmethod
     def from_token(cls, token: str) -> "CraterSpec":
-        """The crater ``token`` names: ``cycle:K``, ``one-loop`` (which
-        is ``cycle:1``), ``two-loops`` or ``bare``."""
+        """The crater ``token`` names: ``cycle:K`` with K in decimal
+        digits and no leading zero, ``one-loop`` (which is ``cycle:1``),
+        ``two-loops`` or ``bare``."""
         if token.startswith("cycle:"):
-            try:
-                k = int(token.split(":", 1)[1])
-            except ValueError:
-                raise InvalidSpecError(f"bad crater token {token!r}") from None
-            return cls.cycle(k)
+            k = token[len("cycle:") :]
+            # ASCII digits with no leading zero, as ``token`` prints K
+            if k.isascii() and k.isdigit() and k[0] != "0":
+                try:
+                    return cls.cycle(int(k))
+                except ValueError:  # past int()'s digit limit
+                    pass
+            raise InvalidSpecError(f"bad crater token {token!r}")
         if token == "one-loop":
             return cls.one_loop()
         if token in (CRATER_TWO_LOOPS, CRATER_BARE):

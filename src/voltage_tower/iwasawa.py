@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import require_prime, valuation
-from .backend import bareiss_determinant
+from .backend import Schedule, replay_determinant
 from .errors import (
     NoTowerError,
     NotConnectedError,
@@ -92,13 +92,17 @@ class TowerReport:
     invariants: IwasawaInvariants
 
 
-def _min_degree_order(adj: list[list[int]]) -> list[int]:
-    """Greedy minimum-degree elimination order of the symmetric pattern of
-    A + A^t, ties broken by the least vertex.
+def _elimination_schedule(adj: list[list[int]]) -> Schedule:
+    """Greedy minimum-degree elimination of the symmetric pattern of
+    A + A^t, ties broken by the least vertex, as the schedule that
+    ``replay_determinant`` follows.
 
     Eliminating a vertex joins its remaining neighbours, as elimination
     fills them in; taking the least-connected vertex first keeps that fill,
-    and so the nonzero multipliers Bareiss must apply, small.
+    and so the rows and columns each step touches, small.  One step
+    (v, cols, updates) per vertex in order: v's remaining columns, itself
+    included, and each remaining neighbour u with its columns after the
+    fill, itself included.
     """
     r = len(adj)
     nbrs = [
@@ -106,15 +110,17 @@ def _min_degree_order(adj: list[list[int]]) -> list[int]:
         for i in range(r)
     ]
     left = set(range(r))
-    order = []
+    schedule = []
     while left:
         v = min(left, key=lambda u: (len(nbrs[u]), u))
         left.remove(v)
-        order.append(v)
-        for u in nbrs[v]:
+        updates = []
+        for u in sorted(nbrs[v]):
             nbrs[u] |= nbrs[v]
             nbrs[u] -= {u, v}
-    return order
+            updates.append((u, sorted(nbrs[u] | {u})))
+        schedule.append((v, sorted(nbrs[v] | {v}), updates))
+    return schedule
 
 
 def char_poly(g: DirectedMultigraph) -> IntPolynomial:
@@ -129,7 +135,9 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     lcm of the |k|, S_L(z) = L^r S(z / L) has integer coefficients s_j
     L^(r-j) and takes the integer value (L/k)^r Q(k) at the integer node
     z = (k^2 + 1) L/k, so integer Newton interpolation recovers it and
-    exact divisions give the s_j.
+    exact divisions give the s_j.  The r + 1 matrices share one sparsity
+    pattern, so one elimination schedule, worked out once per graph, is
+    replayed on each of them.
 
     Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
     out at least a double root: T^2 divides P(T), checked here.  Undirected
@@ -147,26 +155,30 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
         raise NotConnectedError("characteristic polynomial needs a connected graph")
     prof = degree_profile(g)
     adj = adjacency_matrix(g)
-    # a symmetric permutation of D and A changes no determinant
-    order = _min_degree_order(adj)
-    deg = [prof.in_deg[v] + prof.out_deg[v] for v in order]
-    adj = [[adj[u][v] for v in order] for u in order]
-    adj_t = [list(col) for col in zip(*adj)]
+    schedule = _elimination_schedule(adj)
+    deg = [d_i + d_o for d_i, d_o in zip(prof.in_deg, prof.out_deg)]
+    # entry (i, j) of Dk - Ak^2 - A^t is -a k^2 - b, plus deg_i k if i = j
+    entries = [
+        (i, j, adj[i][j], adj[j][i])
+        for i in range(r)
+        for j in range(r)
+        if adj[i][j] or adj[j][i]
+    ]
     # -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
     ks = [-1] + [e * k for k in range(2, r // 2 + 3) for e in (1, -1)]
     ks = ks[: r + 1]
     big = math.lcm(*ks)
     zs, ws = [], []
     for k in ks:
-        m = [
-            [-a * k * k - b for a, b in zip(row, row_t)]
-            for row, row_t in zip(adj, adj_t)
-        ]
+        kk = k * k
+        m = [[0] * r for _ in range(r)]
+        for i, j, a, b in entries:
+            m[i][j] = -a * kk - b
         for i in range(r):
             m[i][i] += deg[i] * k
         scale = big // k
         zs.append((k * k + 1) * scale)
-        ws.append(scale**r * bareiss_determinant(m))
+        ws.append(scale**r * replay_determinant(schedule, m))
     s_hat = _interpolate_integer(zs, ws)
     s = []
     for j in range(r + 1):

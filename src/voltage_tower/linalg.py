@@ -1,8 +1,8 @@
 """Exact big-integer linear algebra.
 
 Everything here is exact: determinants by fraction-free elimination,
-spanning-tree counts through the Laplacian, Smith normal form for Picard
-torsion, integer Newton interpolation at integer nodes, and resultants
+spanning-tree counts through the Laplacian, integer Newton interpolation
+at integer nodes, and resultants
 of an integer polynomial against the cyclotomic polynomials Phi_{p^k} by
 root powering: one Newton-identity step and one (p-1) x (p-1)
 determinant per k.  No floating point anywhere; p-adic valuations
@@ -138,79 +138,6 @@ def brute_force_spanning_trees(g: DirectedMultigraph) -> int:
         if acyclic:
             count += 1
     return count
-
-
-def smith_normal_form(m: IntMatrix) -> list[int]:
-    """Invariant factors d1 | d2 | ... of an integer matrix (non-negative,
-    zeros last)."""
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
-    size = min(nrows, ncols)
-    factors = []
-    t = 0
-    while t < size:
-        # locate a nonzero entry of least magnitude in the trailing block
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (
-                    pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        while True:
-            pi, pj = pivot
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                q = a[i][t] // a[t][t]
-                if q:
-                    for j in range(t, ncols):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    dirty = True
-            for j in range(t + 1, ncols):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for i in range(t, nrows):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    dirty = True
-            if dirty:
-                pivot = min(
-                    (
-                        (i, j)
-                        for i in range(t, nrows)
-                        for j in range(t, ncols)
-                        if a[i][j] != 0
-                    ),
-                    key=lambda ij: abs(a[ij[0]][ij[1]]),
-                )
-                continue
-            # pivot must divide the rest of the block for the divisibility
-            # chain; if not, fold the offending row in and restart
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, ncols):
-                a[t][j] += a[offender][j]
-            pivot = (t, t)
-        factors.append(abs(a[t][t]))
-        t += 1
-    factors.extend([0] * (size - len(factors)))
-    return factors
 
 
 def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:

@@ -32,14 +32,20 @@ from .graph import (
 
 @dataclass(frozen=True)
 class ConstantVoltage:
-    """Every edge receives the same value ``param`` (an integer standing
-    for a p-adic integer); towers need ``param`` coprime to ``p``."""
+    """Every edge receives the same value ``param`` (an int standing for
+    a p-adic integer, not a bool); towers need ``param`` coprime to
+    ``p``."""
 
     p: int
     param: int = 1
 
     def __post_init__(self):
         require_prime(self.p)
+        if type(self.param) is not int:
+            raise ValueError(
+                f"voltage parameter must be an int, not "
+                f"{type(self.param).__name__}"
+            )
 
     @property
     def is_unit(self) -> bool:
@@ -101,9 +107,12 @@ def derive(
 
     Level 0 wraps the base graph unchanged.  Past DERIVED_VERTEX_CAP
     vertices or DERIVED_EDGE_CAP edges, TooLargeError is raised before
-    anything is built.  Undirected images raise ValueError.
+    anything is built.  Undirected images and a level that is not a
+    non-negative int (a bool is not one) raise ValueError.
     """
     require_orientation(base)
+    if type(n) is not int:
+        raise ValueError(f"level must be an int, not {type(n).__name__}")
     if n < 0:
         raise ValueError("level must be non-negative")
     check_derived_size(base.vertex_count, voltage.p, n)
@@ -181,32 +190,3 @@ def tower_component(
         if comp[0] == 0:
             return subgraph(derived.graph, comp)
     raise StructureViolationError("vertex 0 not found in any component")
-
-
-def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
-    """Rename every vertex (v, sigma) to (v, u * sigma); for a unit u this
-    is an isomorphism of coverings of the base."""
-    modulus = d.modulus
-    if math.gcd(u, modulus) != 1:
-        raise NotAUnitError(f"{u} is not a unit modulo {modulus}")
-    nv = d.base_vertex_count
-
-    def rename(idx: int) -> int:
-        sigma, v = divmod(idx, nv)
-        return (u * sigma % modulus) * nv + v
-
-    g = d.graph
-    edges = tuple((rename(s), rename(t)) for s, t in g.edges)
-    labels = g.vertex_labels
-    if labels is not None:
-        labels = tuple(
-            f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
-        )
-    renamed = DirectedMultigraph(
-        g.vertex_count,
-        edges,
-        labels,
-        f"{g.name}*{u}",
-        undirected=g.undirected,
-    )
-    return DerivedGraph(renamed, d.base_vertex_count, d.level)

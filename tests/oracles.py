@@ -9,8 +9,11 @@ from typing import Optional
 
 from voltage_tower import (
     AugmentedVolcanoShape,
+    DerivedGraph,
     DirectedMultigraph,
+    IntMatrix,
     IntPolynomial,
+    NotAUnitError,
     NotConnectedError,
     NotSquareError,
     VolcanoShape,
@@ -161,6 +164,108 @@ def fraction_determinant(rows) -> int:
                 a[i][j] -= factor * a[k][j]
     assert det.denominator == 1
     return det.numerator
+
+
+def smith_normal_form(m: IntMatrix) -> list[int]:
+    """Invariant factors d1 | d2 | ... of an integer matrix (non-negative,
+    zeros last)."""
+    a = m.to_rows()
+    nrows, ncols = m.rows, m.cols
+    size = min(nrows, ncols)
+    factors = []
+    t = 0
+    while t < size:
+        # locate a nonzero entry of least magnitude in the trailing block
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (
+                    pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
+                ):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        while True:
+            pi, pj = pivot
+            if pi != t:
+                a[t], a[pi] = a[pi], a[t]
+            if pj != t:
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
+            dirty = False
+            for i in range(t + 1, nrows):
+                q = a[i][t] // a[t][t]
+                if q:
+                    for j in range(t, ncols):
+                        a[i][j] -= q * a[t][j]
+                if a[i][t]:
+                    dirty = True
+            for j in range(t + 1, ncols):
+                q = a[t][j] // a[t][t]
+                if q:
+                    for i in range(t, nrows):
+                        a[i][j] -= q * a[i][t]
+                if a[t][j]:
+                    dirty = True
+            if dirty:
+                pivot = min(
+                    (
+                        (i, j)
+                        for i in range(t, nrows)
+                        for j in range(t, ncols)
+                        if a[i][j] != 0
+                    ),
+                    key=lambda ij: abs(a[ij[0]][ij[1]]),
+                )
+                continue
+            # pivot must divide the rest of the block for the divisibility
+            # chain; if not, fold the offending row in and restart
+            offender = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if a[i][j] % a[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            for j in range(t, ncols):
+                a[t][j] += a[offender][j]
+            pivot = (t, t)
+        factors.append(abs(a[t][t]))
+        t += 1
+    factors.extend([0] * (size - len(factors)))
+    return factors
+
+
+def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
+    """Rename every vertex (v, sigma) to (v, u * sigma); for a unit u this
+    is an isomorphism of coverings of the base."""
+    modulus = d.modulus
+    if math.gcd(u, modulus) != 1:
+        raise NotAUnitError(f"{u} is not a unit modulo {modulus}")
+    nv = d.base_vertex_count
+
+    def rename(idx: int) -> int:
+        sigma, v = divmod(idx, nv)
+        return (u * sigma % modulus) * nv + v
+
+    g = d.graph
+    edges = tuple((rename(s), rename(t)) for s, t in g.edges)
+    labels = g.vertex_labels
+    if labels is not None:
+        labels = tuple(
+            f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
+        )
+    renamed = DirectedMultigraph(
+        g.vertex_count,
+        edges,
+        labels,
+        f"{g.name}*{u}",
+        undirected=g.undirected,
+    )
+    return DerivedGraph(renamed, d.base_vertex_count, d.level)
 
 
 def _matmul(a, b):

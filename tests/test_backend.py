@@ -1,7 +1,8 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voltage_tower.backend import bareiss_determinant
+from voltage_tower.backend import bareiss_determinant, replay_determinant
+from voltage_tower.iwasawa import _elimination_schedule
 
 from oracles import dense_bareiss, fraction_determinant
 
@@ -30,22 +31,24 @@ def test_big_integer_entries_stay_exact():
     assert bareiss_determinant(rows) == expected
 
 
+NONZERO = (
+    st.sampled_from((-3, -2, -1, 1, 2, 3))
+    | st.integers(min_value=10**30, max_value=10**40)
+    | st.integers(min_value=-(10**40), max_value=-(10**30))
+)
+
+
 @st.composite
 def sparse_matrices(draw):
     """Square matrices of size 0 to 10 with at most three nonzero entries
     a row, small or with 30 or more digits: zero multipliers, zero pivots
     and singular matrices are all common."""
     n = draw(st.integers(min_value=0, max_value=10))
-    nonzero = (
-        st.sampled_from((-3, -2, -1, 1, 2, 3))
-        | st.integers(min_value=10**30, max_value=10**40)
-        | st.integers(min_value=-(10**40), max_value=-(10**30))
-    )
     rows = []
     for _ in range(n):
         row = [0] * n
         for j in draw(st.sets(st.integers(0, n - 1), max_size=3)):
-            row[j] = draw(nonzero)
+            row[j] = draw(NONZERO)
         rows.append(row)
     return rows
 
@@ -66,3 +69,47 @@ def test_sparse_kernel_matches_dense_and_rational_elimination(rows):
     assert rows == snapshot
     assert det == dense_bareiss(rows)
     assert det == fraction_determinant(rows)
+
+
+@st.composite
+def patterned_matrices(draw):
+    """A 0-1 matrix adj of size 0 to 10 and a matrix whose entries off
+    the diagonal and off the pattern of adj + adj^t are zero.  The others
+    are zero, small or have 30 or more digits, so numerically zero
+    pivots and cancelled fill are common."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    adj = [[0] * n for _ in range(n)]
+    if n:
+        index = st.integers(0, n - 1)
+        for i, j in draw(st.sets(st.tuples(index, index), max_size=2 * n)):
+            adj[i][j] = 1
+    entry = st.just(0) | NONZERO
+    rows = [
+        [draw(entry) if i == j or adj[i][j] or adj[j][i] else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return adj, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=patterned_matrices())
+# a zero first pivot with a row left to update: the fallback's answer
+@example(case=([[0, 1], [0, 0]], [[0, 2], [3, 1]]))
+# vertex 0 has no neighbour and a zero pivot, so its row is zero
+@example(case=([[0, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [0, 1, 2], [0, 3, 4]]))
+# two blocks: row 2, untouched by the first, is brought up to date by
+# the factor prev / div[2] before it serves as the pivot of the second
+@example(
+    case=(
+        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+        [[2, 3, 0, 0], [5, 7, 0, 0], [0, 0, 11, 13], [0, 0, 17, 19]],
+    )
+)
+# diagonal: the last row is never updated and owes the final scaling
+@example(case=([[0, 0], [0, 0]], [[2, 0], [0, 3]]))
+def test_replay_of_the_minimum_degree_schedule_matches_dense_elimination(case):
+    adj, rows = case
+    snapshot = [r[:] for r in rows]
+    det = replay_determinant(_elimination_schedule(adj), rows)
+    assert rows == snapshot
+    assert det == dense_bareiss(rows)

@@ -241,6 +241,11 @@ def test_gen_rejects_bad_params(capsys):
     assert "l >= 2" in err
     code, _, err = run(["gen", "volcano", "--crater", "pyramid"], capsys)
     assert code == 2
+    for token in ("cycle:+3", "cycle: 3", "cycle:1_0", "cycle:\u0663", "cycle:03"):
+        code, stdout, err = run(["gen", "volcano", "--crater", token], capsys)
+        assert code == 2, token
+        assert stdout == ""
+        assert err == f"error: bad crater token {token!r}\n"
 
 
 def test_gen_refuses_graphs_past_the_caps(capsys):
@@ -753,9 +758,11 @@ def test_a_failed_identity_exits_1_as_an_internal_error(
     tmp_path, capsys, monkeypatch
 ):
     # a wrong determinant breaks the charpoly's integrality checks
-    real = iwasawa.bareiss_determinant
+    real = iwasawa.replay_determinant
     monkeypatch.setattr(
-        iwasawa, "bareiss_determinant", lambda rows: real(rows) ** 3
+        iwasawa,
+        "replay_determinant",
+        lambda schedule, rows: real(schedule, rows) ** 3,
     )
     src = tmp_path / "c3.json"
     write_graph(directed_cycle(3), str(src))

@@ -74,7 +74,20 @@ def test_crater_tokens_round_trip():
         assert CraterSpec.from_token(crater.token) == crater
     assert CraterSpec.one_loop().token == "cycle:1"
     assert CraterSpec.from_token("one-loop") == CraterSpec.one_loop()
-    for token in ("pyramid", "cycle:", "cycle:x", "cycle:0", "one-loop:1"):
+    for token in (
+        "pyramid",
+        "cycle:",
+        "cycle:x",
+        "cycle:0",
+        "one-loop:1",
+        # int() reads these as K, but token never prints them
+        "cycle:+3",
+        "cycle: 3",
+        "cycle:1_0",
+        "cycle:\u0663",  # ARABIC-INDIC DIGIT THREE
+        "cycle:03",
+        "cycle:" + "9" * 5000,
+    ):
         with pytest.raises(InvalidSpecError):
             CraterSpec.from_token(token)
 

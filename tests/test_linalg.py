@@ -22,7 +22,6 @@ from voltage_tower import (
     determinant,
     directed_cycle,
     kirchhoff_count,
-    smith_normal_form,
     stabilization_level,
     underlying_undirected,
 )
@@ -36,6 +35,7 @@ from oracles import (
     companion_resultants,
     cyclotomic_prime_power,
     poly_matrix_determinant,
+    smith_normal_form,
     sylvester_matrix,
 )
 from strategies import connected_multigraphs

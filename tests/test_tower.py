@@ -19,7 +19,6 @@ from voltage_tower import (
     is_connected,
     kirchhoff_count,
     predicted_component_count,
-    relabel_by_unit,
     stabilization_level,
     subgraph,
     tower_component,
@@ -33,6 +32,7 @@ from voltage_tower.tower import (
     check_derived_size,
 )
 
+from oracles import relabel_by_unit
 from strategies import connected_multigraphs
 
 PRIMES = (2, 3, 5)
@@ -43,6 +43,18 @@ def test_voltage_validates_prime():
         ConstantVoltage(4)
     assert ConstantVoltage(2, 3).is_unit
     assert not ConstantVoltage(3, 6).is_unit
+
+
+@pytest.mark.parametrize("param", ["1", True, 2.5])
+def test_voltage_parameter_is_an_int(param):
+    with pytest.raises(ValueError, match="voltage parameter must be an int"):
+        ConstantVoltage(3, param)
+
+
+@pytest.mark.parametrize("level", [1.0, True])
+def test_derive_level_is_an_int(level):
+    with pytest.raises(ValueError, match="level must be an int"):
+        derive(directed_cycle(3), ConstantVoltage(3), level)
 
 
 def test_tower_computations_refuse_an_undirected_image():
