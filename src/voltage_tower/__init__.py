@@ -59,7 +59,6 @@ from .iwasawa import (
     TowerReport,
     char_poly,
     check_theorem_hypotheses,
-    fit_growth_parameters,
     invariants,
     verify_growth,
     weierstrass,
@@ -75,7 +74,6 @@ from .polynomial import IntPolynomial
 from .tower import (
     ConstantVoltage,
     DerivedGraph,
-    component_count,
     derive,
     predicted_component_count,
     stabilization_level,

@@ -1,20 +1,17 @@
-"""Bareiss fraction-free elimination, the package's determinant kernel.
+"""Exact determinants by Bareiss fraction-free elimination.
 
 Step k of Bareiss elimination replaces every row i below the pivot by
-(pivot_k * row_i - m_ik * row_k) / pivot_{k-1}.  When the multiplier m_ik
-is zero this only scales the row by pivot_k / pivot_{k-1}, and successive
-scalings telescope.  So the kernel leaves such a row as it is and keeps in
-``div[i]`` the pivot it was last brought up to date with: the exact
-Bareiss row is always the stored row times prev / div[i], with prev the
-latest pivot.  On the sparse matrices the package eliminates, most
-multipliers are zero and most row updates are skipped.
+(pivot_k * row_i - m_ik * row_k) / pivot_{k-1}; each entry it yields is a
+minor of the input, so every division is exact.
 
-``bareiss_determinant`` finds those rows itself and serves any single
-matrix.  ``replay_determinant`` serves many matrices of one sparsity
-pattern, the charpoly's r + 1 evaluations: the caller works out the
+``bareiss_determinant`` does just that, with row swaps, and serves any
+single matrix: the Kirchhoff minor, the resultant matrices and the checks.
+``replay_determinant`` serves many matrices of one sparsity pattern, the
+charpoly's r + 1 evaluations: ``elimination_schedule`` works out an
 elimination order and its fill once, as a schedule, and the replay visits
-only the scheduled rows and columns, under the same invariant.  It falls
-back to ``bareiss_determinant`` on a numerically zero pivot.
+only the scheduled rows and columns, with lazy divisors for the rows a
+pivot leaves alone.  It falls back to ``bareiss_determinant`` on a
+numerically zero pivot.
 """
 
 from __future__ import annotations
@@ -24,22 +21,19 @@ Schedule = list[tuple[int, list[int], list[tuple[int, list[int]]]]]
 
 
 def bareiss_determinant(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination, skipping the rows
-    whose multiplier in the pivot column is zero.
+    """Exact determinant by fraction-free elimination with row swaps.
 
-    Invariant: stored row i times prev / div[i] is the Bareiss row, whose
-    entries are minors of the input and so integers.  Each division below
-    yields an entry of such a row and is therefore exact: updating row i
-    divides by div[i] in place of prev, a pivot row is brought up to date
-    by the factor prev / div[k] before it is used, and the last entry is
-    scaled by prev / div[n - 1].  Row swaps carry their divisors along.
-    The input is not modified.
+    Every row below the pivot is updated at every step and divided by the
+    previous pivot; the division is exact, for the result is a minor of
+    the input.  A zero pivot is swapped with the first row below it that
+    is nonzero in the pivot column, flipping the sign; with no such row
+    the determinant is 0.  The empty matrix has determinant 1.  The input
+    is not modified.
     """
     n = len(rows)
     if n == 0:
         return 1
     m = [list(r) for r in rows]
-    div = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -47,28 +41,50 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]
-                    div[k], div[i] = div[i], div[k]
                     sign = -sign
                     break
             else:
                 return 0
         row_k = m[k]
-        if div[k] != prev:
-            for j in range(k, n):
-                row_k[j] = row_k[j] * prev // div[k]
         pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = m[i]
             factor = row_i[k]
-            if factor == 0:
-                continue
-            d = div[i]
             for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // d
-            row_i[k] = 0
-            div[i] = pivot
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
         prev = pivot
-    return sign * (m[n - 1][n - 1] * prev // div[n - 1])
+    return sign * m[n - 1][n - 1]
+
+
+def elimination_schedule(adj: list[list[int]]) -> Schedule:
+    """Greedy minimum-degree elimination of the symmetric pattern of
+    A + A^t, ties broken by the least vertex, as the schedule that
+    ``replay_determinant`` follows.
+
+    Eliminating a vertex joins its remaining neighbours, as elimination
+    fills them in; taking the least-connected vertex first keeps that fill,
+    and so the rows and columns each step touches, small.  One step
+    (v, cols, updates) per vertex in order: v's remaining columns, itself
+    included, and each remaining neighbour u with its columns after the
+    fill, itself included.
+    """
+    r = len(adj)
+    nbrs = [
+        {j for j in range(r) if j != i and (adj[i][j] or adj[j][i])}
+        for i in range(r)
+    ]
+    left = set(range(r))
+    schedule = []
+    while left:
+        v = min(left, key=lambda u: (len(nbrs[u]), u))
+        left.remove(v)
+        updates = []
+        for u in sorted(nbrs[v]):
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+            updates.append((u, sorted(nbrs[u] | {u})))
+        schedule.append((v, sorted(nbrs[v] | {v}), updates))
+    return schedule
 
 
 def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int:
@@ -83,12 +99,18 @@ def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int:
     which changes no determinant.  An entry the schedule never visits must
     be zero.
 
-    The divisors follow ``bareiss_determinant``: stored row u times
-    prev / div[u] is the Bareiss row, so every division is exact.  A pivot
-    that is zero with rows left to update makes the order unusable, and
-    the matrix goes to ``bareiss_determinant`` instead; one with none left
-    sits on a zero row of the remaining block, so the determinant is 0.
-    The input is not modified.
+    A row that pivot v does not update has a zero multiplier, so the
+    Bareiss step would only scale it by pivot / prev, and successive
+    scalings telescope.  The row is left as it is, and ``div[u]`` keeps
+    the pivot it was last brought up to date with: stored row u times
+    prev / div[u] is the Bareiss row, whose entries are minors of the
+    input.  So every division below is exact: updating row u divides by
+    div[u] in place of prev, and a pivot row is brought up to date by the
+    factor prev / div[v] before it is used.  A pivot that is zero with
+    rows left to update makes the order unusable, and the matrix goes to
+    ``bareiss_determinant`` instead; one with none left sits on a zero row
+    of the remaining block, so the determinant is 0.  The input is not
+    modified.
     """
     m = [list(r) for r in rows]
     div = [1] * len(m)

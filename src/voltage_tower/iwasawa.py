@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .arith import require_prime, valuation
-from .backend import Schedule, replay_determinant
+from .backend import elimination_schedule, replay_determinant
 from .errors import (
     NoTowerError,
     NotConnectedError,
@@ -92,37 +92,6 @@ class TowerReport:
     invariants: IwasawaInvariants
 
 
-def _elimination_schedule(adj: list[list[int]]) -> Schedule:
-    """Greedy minimum-degree elimination of the symmetric pattern of
-    A + A^t, ties broken by the least vertex, as the schedule that
-    ``replay_determinant`` follows.
-
-    Eliminating a vertex joins its remaining neighbours, as elimination
-    fills them in; taking the least-connected vertex first keeps that fill,
-    and so the rows and columns each step touches, small.  One step
-    (v, cols, updates) per vertex in order: v's remaining columns, itself
-    included, and each remaining neighbour u with its columns after the
-    fill, itself included.
-    """
-    r = len(adj)
-    nbrs = [
-        {j for j in range(r) if j != i and (adj[i][j] or adj[j][i])}
-        for i in range(r)
-    ]
-    left = set(range(r))
-    schedule = []
-    while left:
-        v = min(left, key=lambda u: (len(nbrs[u]), u))
-        left.remove(v)
-        updates = []
-        for u in sorted(nbrs[v]):
-            nbrs[u] |= nbrs[v]
-            nbrs[u] -= {u, v}
-            updates.append((u, sorted(nbrs[u] | {u})))
-        schedule.append((v, sorted(nbrs[v] | {v}), updates))
-    return schedule
-
-
 def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     """P(T) = (1+T)^r * det(D - A(1+T) - A^t(1+T)^(-1)), exactly.
 
@@ -155,7 +124,7 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
         raise NotConnectedError("characteristic polynomial needs a connected graph")
     prof = degree_profile(g)
     adj = adjacency_matrix(g)
-    schedule = _elimination_schedule(adj)
+    schedule = elimination_schedule(adj)
     deg = [d_i + d_o for d_i, d_o in zip(prof.in_deg, prof.out_deg)]
     # entry (i, j) of Dk - Ak^2 - A^t is -a k^2 - b, plus deg_i k if i = j
     entries = [
@@ -274,9 +243,12 @@ def verify_growth(
     one exact division per level.  nu is fitted at the top level and
     back-checked downward; ``exact_from_level`` is the least level from
     which the identity holds on all recorded data.  The report carries
-    ``invariants(g, p)``, computed once here.
+    ``invariants(g, p)``, computed once here.  An ``n_max`` that is not an
+    int (a bool is not one) raises ValueError.
     """
     require_prime(p)  # before the size check, whose loop needs p >= 2
+    if type(n_max) is not int:
+        raise ValueError(f"n_max must be an int, not {type(n_max).__name__}")
     check_derived_size(g.vertex_count, p, n_max)
     inv = invariants(g, p)
     n0 = inv.n0
@@ -315,28 +287,6 @@ def verify_growth(
             exact_from = None
         levels.append(TowerLevel(n, ncomp, kappa, ord_p, predicted))
     return TowerReport(tuple(levels), nu, exact_from, inv)
-
-
-def fit_growth_parameters(
-    points: Sequence[tuple[int, int]], p: int
-) -> Optional[tuple[int, int, int]]:
-    """Solve ord = mu p^m + lam m + nu exactly through the last three
-    (m, ord) points; None if the solution is not integral."""
-    if len(points) < 3:
-        raise ValueError("need at least three data points")
-    (m0, y0), (m1, y1), (m2, y2) = points[-3:]
-    # eliminate nu, then lam
-    a1, b1, c1 = p**m1 - p**m0, m1 - m0, y1 - y0
-    a2, b2, c2 = p**m2 - p**m1, m2 - m1, y2 - y1
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
-    mu, mu_rem = divmod(c1 * b2 - c2 * b1, det)
-    lam, lam_rem = divmod(a1 * c2 - a2 * c1, det)
-    if mu_rem or lam_rem:
-        return None
-    nu = y0 - mu * p**m0 - lam * m0
-    return mu, lam, nu
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,15 @@ def kirchhoff_count(
     g: DirectedMultigraph, row: int = 0, col: int = 0
 ) -> int:
     """Number of spanning trees of the undirected image via the
-    matrix-tree theorem: (-1)^(row+col) det of the Laplacian minor."""
+    matrix-tree theorem: (-1)^(row+col) det of the Laplacian minor.
+    ``row`` and ``col`` that are not ints in range(vertex_count) (a bool
+    is not one) raise ValueError."""
+    n = g.vertex_count
+    for name, index in (("row", row), ("col", col)):
+        if type(index) is not int or not 0 <= index < n:
+            raise ValueError(
+                f"{name} must be an int in range({n}), not {index!r}"
+            )
     if not is_connected(g):
         raise NotConnectedError("spanning trees need a connected graph")
     lap = _laplacian_rows(g)
@@ -210,8 +218,14 @@ def cyclotomic_resultants(
     Q_{k-1} -> Q_k on the p deg Q power sums of its roots and one
     (p-1) x (p-1) Bareiss determinant; a factor Phi_{p^k} of Q gives 0.  The
     step's divisions are exact, so a remainder raises StructureViolationError.
+    ``levels`` that is not a non-negative int (a bool is not one) raises
+    ValueError.
     """
     require_prime(p)
+    if type(levels) is not int:
+        raise ValueError(f"levels must be an int, not {type(levels).__name__}")
+    if levels < 0:
+        raise ValueError("levels must be non-negative")
     if poly.is_zero:
         raise ZeroPolynomialError("resultant against the zero polynomial")
     f = list(poly.coefficients)

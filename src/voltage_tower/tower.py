@@ -14,7 +14,6 @@ from typing import Optional
 
 from .arith import require_prime, valuation
 from .errors import (
-    EmptyGraphError,
     NoTowerError,
     NotAUnitError,
     StructureViolationError,
@@ -140,12 +139,6 @@ def derive(
         f"derive({base.name},p={voltage.p},n={n})",
     )
     return DerivedGraph(g, nv, n)
-
-
-def component_count(g: DirectedMultigraph) -> int:
-    if g.vertex_count == 0:
-        raise EmptyGraphError("graph has no vertices")
-    return len(components(g))
 
 
 def predicted_component_count(

@@ -8,12 +8,10 @@ from voltage_tower import (
     DirectedMultigraph,
     VolcanoSpec,
     bouquet,
-    component_count,
     cycle_weight_profile,
     derive,
     directed_cycle,
     doubled,
-    fit_growth_parameters,
     invariants,
     is_connected,
     kirchhoff_count,
@@ -23,6 +21,8 @@ from voltage_tower import (
     volcano,
 )
 from voltage_tower.arith import valuation
+
+from oracles import component_count, fit_growth_parameters
 
 CROSS_VALIDATION_PRIMES = (2, 3, 5)
 

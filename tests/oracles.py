@@ -5,18 +5,20 @@ import math
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from voltage_tower import (
     AugmentedVolcanoShape,
     DerivedGraph,
     DirectedMultigraph,
+    EmptyGraphError,
     IntMatrix,
     IntPolynomial,
     NotAUnitError,
     NotConnectedError,
     NotSquareError,
     VolcanoShape,
+    components,
     is_connected,
 )
 from voltage_tower.generators import (
@@ -43,8 +45,9 @@ def cofactor_determinant(rows) -> int:
 
 
 def dense_bareiss(rows) -> int:
-    """Bareiss elimination that updates every row below the pivot, the
-    library's kernel before it learned to skip zero multipliers."""
+    """Bareiss elimination that updates every row below the pivot, written
+    apart from the library's kernels as the reference they are checked
+    against."""
     n = len(rows)
     if n == 0:
         return 1
@@ -266,6 +269,34 @@ def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
         undirected=g.undirected,
     )
     return DerivedGraph(renamed, d.base_vertex_count, d.level)
+
+
+def component_count(g: DirectedMultigraph) -> int:
+    if g.vertex_count == 0:
+        raise EmptyGraphError("graph has no vertices")
+    return len(components(g))
+
+
+def fit_growth_parameters(
+    points: Sequence[tuple[int, int]], p: int
+) -> Optional[tuple[int, int, int]]:
+    """Solve ord = mu p^m + lam m + nu exactly through the last three
+    (m, ord) points; None if the solution is not integral."""
+    if len(points) < 3:
+        raise ValueError("need at least three data points")
+    (m0, y0), (m1, y1), (m2, y2) = points[-3:]
+    # eliminate nu, then lam
+    a1, b1, c1 = p**m1 - p**m0, m1 - m0, y1 - y0
+    a2, b2, c2 = p**m2 - p**m1, m2 - m1, y2 - y1
+    det = a1 * b2 - a2 * b1
+    if det == 0:
+        return None
+    mu, mu_rem = divmod(c1 * b2 - c2 * b1, det)
+    lam, lam_rem = divmod(a1 * c2 - a2 * c1, det)
+    if mu_rem or lam_rem:
+        return None
+    nu = y0 - mu * p**m0 - lam * m0
+    return mu, lam, nu
 
 
 def _matmul(a, b):

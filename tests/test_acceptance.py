@@ -12,12 +12,10 @@ from voltage_tower import (
     brute_force_spanning_trees,
     char_poly,
     check_theorem_hypotheses,
-    component_count,
     cycle_weight_profile,
     derive,
     directed_cycle,
     doubled,
-    fit_growth_parameters,
     invariants,
     is_balanced,
     kirchhoff_count,
@@ -35,7 +33,12 @@ from voltage_tower import (
 from voltage_tower.graph import components
 from voltage_tower.linalg import _laplacian_rows
 
-from oracles import relabel_by_unit, smith_normal_form
+from oracles import (
+    component_count,
+    fit_growth_parameters,
+    relabel_by_unit,
+    smith_normal_form,
+)
 
 PRIMES = (2, 3, 5)
 

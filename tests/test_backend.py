@@ -1,8 +1,11 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voltage_tower.backend import bareiss_determinant, replay_determinant
-from voltage_tower.iwasawa import _elimination_schedule
+from voltage_tower.backend import (
+    bareiss_determinant,
+    elimination_schedule,
+    replay_determinant,
+)
 
 from oracles import dense_bareiss, fraction_determinant
 
@@ -55,13 +58,12 @@ def sparse_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(rows=sparse_matrices())
-# row 2 skips step 0 and is swapped in as the pivot of step 1, where row
-# 1 has become zero; row 3 is next updated at step 2, behind two pivots
+# row 1 turns zero in the pivot column of step 1 and is swapped with row 2
 @example(rows=[[2, 3, 1, 1], [4, 6, 5, 1], [0, 5, 1, 2], [0, 0, 1, 3]])
-# row 3, one pivot behind, is swapped with row 1, which is up to date: a
-# divisor left behind by the swap leaves the pivot of step 1 unscaled
+# at step 1 rows 1 and 2 are both zero in the pivot column, so the swap
+# reaches row 3
 @example(rows=[[-3, 0, -3, 1], [-1, 0, 0, 0], [-1, 0, 0, -1], [0, 2, 0, 0]])
-# triangular: the last row is never updated and owes the final scaling
+# triangular: a zero multiplier still scales its row by pivot / prev
 @example(rows=[[2, 1], [0, 3]])
 def test_sparse_kernel_matches_dense_and_rational_elimination(rows):
     snapshot = [r[:] for r in rows]
@@ -110,6 +112,6 @@ def patterned_matrices(draw):
 def test_replay_of_the_minimum_degree_schedule_matches_dense_elimination(case):
     adj, rows = case
     snapshot = [r[:] for r in rows]
-    det = replay_determinant(_elimination_schedule(adj), rows)
+    det = replay_determinant(elimination_schedule(adj), rows)
     assert rows == snapshot
     assert det == dense_bareiss(rows)

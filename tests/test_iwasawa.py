@@ -28,7 +28,6 @@ from voltage_tower import (
     degree_profile,
     directed_cycle,
     doubled,
-    fit_growth_parameters,
     invariants,
     kirchhoff_count,
     stabilization_level,
@@ -39,11 +38,20 @@ from voltage_tower import (
 )
 from voltage_tower import backend, iwasawa
 from voltage_tower.arith import PRIME_CAP, require_prime, valuation
-from voltage_tower.backend import bareiss_determinant, replay_determinant
+from voltage_tower.backend import (
+    bareiss_determinant,
+    elimination_schedule,
+    replay_determinant,
+)
 from voltage_tower.linalg import _laplacian_rows
 from voltage_tower.tower import CHARPOLY_VERTEX_CAP
 
-from oracles import charpoly_2r_plus_1, loop_valuation, smith_normal_form
+from oracles import (
+    charpoly_2r_plus_1,
+    fit_growth_parameters,
+    loop_valuation,
+    smith_normal_form,
+)
 from strategies import (
     connected_multigraphs,
     looped_multigraphs,
@@ -153,10 +161,10 @@ def test_char_poly_is_invariant_under_relabeling(g, data):
     )
     assert char_poly(relabeled) == char_poly(g)
     adj = adjacency_matrix(g)
-    schedule = iwasawa._elimination_schedule(adj)
+    schedule = elimination_schedule(adj)
     order = [v for v, _, _ in schedule]
     assert sorted(order) == list(range(r))
-    assert iwasawa._elimination_schedule(adj) == schedule
+    assert elimination_schedule(adj) == schedule
 
 
 def test_char_poly_rejects_a_linear_term(monkeypatch):
@@ -468,6 +476,9 @@ def test_verify_growth_three_cycle():
 def test_verify_growth_validates_n_max():
     with pytest.raises(ValueError):
         verify_growth(directed_cycle(3), 3, 2)  # n0 = 1 needs n_max >= 3
+    for n_max in (4.0, True):
+        with pytest.raises(ValueError):
+            verify_growth(directed_cycle(3), 2, n_max)
 
 
 def test_verify_growth_caps_the_top_level():

@@ -21,6 +21,7 @@ from voltage_tower import (
     cyclotomic_resultants,
     determinant,
     directed_cycle,
+    doubled,
     kirchhoff_count,
     stabilization_level,
     underlying_undirected,
@@ -115,6 +116,16 @@ def test_kirchhoff_rejects_a_non_positive_count(monkeypatch):
     monkeypatch.setattr(linalg, "bareiss_determinant", lambda rows: 0)
     with pytest.raises(StructureViolationError):
         kirchhoff_count(directed_cycle(3))
+
+
+def test_kirchhoff_checks_its_indices():
+    # (5, 5) would drop no row or column, (3, 0) only a column and (2, 7)
+    # only a row; a bool is not an index
+    for row, col in ((5, 5), (3, 0), (True, False)):
+        with pytest.raises(ValueError):
+            kirchhoff_count(directed_cycle(3), row, col)
+    with pytest.raises(ValueError):
+        kirchhoff_count(doubled(directed_cycle(4)), 2, 7)
 
 
 def double_crater_graph(length: int) -> DirectedMultigraph:
@@ -334,6 +345,9 @@ def test_cyclotomic_resultants_validate_arguments():
         cyclotomic_resultants(q, 4, 2)
     with pytest.raises(ZeroPolynomialError):
         cyclotomic_resultants(IntPolynomial(), 2, 2)
+    for levels in (True, -3):
+        with pytest.raises(ValueError):
+            cyclotomic_resultants(q, 3, levels)
 
 
 @settings(max_examples=80, deadline=None)

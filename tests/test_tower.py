@@ -12,7 +12,6 @@ from voltage_tower import (
     bouquet,
     char_poly,
     check_theorem_hypotheses,
-    component_count,
     cycle_weight_profile,
     derive,
     directed_cycle,
@@ -32,7 +31,7 @@ from voltage_tower.tower import (
     check_derived_size,
 )
 
-from oracles import relabel_by_unit
+from oracles import component_count, relabel_by_unit
 from strategies import connected_multigraphs
 
 PRIMES = (2, 3, 5)
