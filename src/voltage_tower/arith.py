@@ -14,10 +14,34 @@ def require_prime(p: int) -> None:
     before any trial division."""
     if type(p) is not int:
         raise InvalidPrimeError(f"p must be an integer, not {p!r}")
-    if p > PRIME_CAP:
-        raise TooLargeError(f"p = {p} exceeds the cap of {PRIME_CAP}")
+    check_cap("p = {count} exceeds the cap of {cap}", p, PRIME_CAP)
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise InvalidPrimeError(f"{p} is not prime")
+
+
+def require_int(name, value, low=None, high=None, error=ValueError) -> None:
+    """The one check of an int argument: ``error`` unless ``value`` is an
+    ``int`` (a bool is not one), at least ``low`` and below ``high`` when
+    they are given."""
+    if type(value) is not int:
+        raise error(f"{name} must be an int, not {type(value).__name__}")
+    if high is not None and not low <= value < high:
+        raise error(f"need {low} <= {name} < {high}")
+    if low is not None and value < low:
+        raise error(f"need {name} >= {low}")
+
+
+def check_cap(message: str, count: int, cap: int, p: int = 2, n: int = 0) -> None:
+    """The one size check: TooLargeError when count * p^n exceeds ``cap``,
+    decided without forming p^n for a huge n (p >= 2).  The error reads
+    ``message`` formatted with ``count``, ``p``, ``n`` and ``cap``."""
+    total = count
+    for _ in range(n):
+        if total == 0 or total > cap:
+            break
+        total *= p
+    if total > cap:
+        raise TooLargeError(message.format(count=count, p=p, n=n, cap=cap))
 
 
 def valuation(n: int, p: int) -> int:

@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Subcommands: gen, derive, invariants, verify, export-dot, oracle.  Data
-goes to stdout or the -o path; diagnostics go to stderr.  Exit codes:
-0 success, 1 internal error (an identity the theory guarantees failed:
-a bug), 2 invalid parameters or malformed input (an empty graph
-included, and an undirected graph given to derive, invariants or
-verify), 3 non-unit parameter, 4 no tower exists, 5 growth-law
-mismatch, 6 size cap exceeded (the oracle's edge cap, the derived-vertex
-cap on a tower level, on an input graph's vertex count or on a gen
-family, the derived-edge cap of derive or of a gen family, the vertex
-cap of the characteristic polynomial behind invariants and verify, or a
-p above 2^32).
+goes to stdout or the -o path; diagnostics go to stderr.  Exit codes: 0
+success, 5 growth-law mismatch, 2 for a ValueError or OSError (an
+undirected graph given to derive, invariants or verify among them), and
+for a library error the ``exit_code`` of its class: 1 internal error (an
+identity the theory guarantees failed: a bug), 2 invalid parameters or
+malformed input (InvalidPrimeError, InvalidSpecError, DocumentError,
+EmptyGraphError, NotConnectedError), 3 non-unit parameter (NotAUnitError),
+4 no tower exists (NoTowerError), 6 size cap exceeded (TooLargeError: the
+oracle's edge cap, the derived-vertex cap on a tower level, on an input
+graph's vertex count or on a gen family, the derived-edge cap of derive
+or of a gen family, the vertex cap of the characteristic polynomial
+behind invariants and verify, or a p above 2^32).
 """
 
 from __future__ import annotations
@@ -21,20 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import documents
-from .errors import (
-    DocumentError,
-    EmptyGraphError,
-    InvalidPrimeError,
-    InvalidSpecError,
-    NonIntegralInterpolationError,
-    NoTowerError,
-    NotAUnitError,
-    NotConnectedError,
-    NotSquareError,
-    StructureViolationError,
-    TooLargeError,
-    ZeroPolynomialError,
-)
+from .errors import NotAUnitError, VoltageTowerError
 from .generators import (
     CraterSpec,
     VolcanoSpec,
@@ -50,10 +39,7 @@ from .tower import ConstantVoltage, derive
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-EXIT_NON_UNIT = 3
-EXIT_NO_TOWER = 4
 EXIT_GROWTH_MISMATCH = 5
-EXIT_SIZE_CAP = 6
 
 
 def _fail(code: int, message: str) -> int:
@@ -87,10 +73,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
     g = documents.read_graph(args.input)
     voltage = ConstantVoltage(args.p, args.param)
     if not voltage.is_unit and not args.allow_non_unit:
-        return _fail(
-            EXIT_NON_UNIT,
+        raise NotAUnitError(
             f"parameter {args.param} is divisible by {args.p}; "
-            "pass --allow-non-unit to derive anyway",
+            "pass --allow-non-unit to derive anyway"
         )
     d = derive(g, voltage, args.level)
     _emit(documents.graph_to_json(d.graph), args.output)
@@ -239,35 +224,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DocumentError,
-        EmptyGraphError,
-        InvalidSpecError,
-        InvalidPrimeError,
-        NotConnectedError,
-        ValueError,
-    ) as exc:
+    except VoltageTowerError as exc:
+        prefix = "internal: " if exc.exit_code == EXIT_INTERNAL else ""
+        return _fail(exc.exit_code, f"{prefix}{exc}")
+    except (ValueError, OSError) as exc:
         return _fail(EXIT_USAGE, str(exc))
-    except NotAUnitError as exc:
-        return _fail(EXIT_NON_UNIT, str(exc))
-    except NoTowerError as exc:
-        detail = (
-            "the undirected image is a forest"
-            if exc.reason == "acyclic"
-            else "every cycle weight is 0, so no cycle weight is coprime to p"
-        )
-        return _fail(EXIT_NO_TOWER, f"{exc} ({detail})")
-    except TooLargeError as exc:
-        return _fail(EXIT_SIZE_CAP, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except (
-        NonIntegralInterpolationError,
-        NotSquareError,
-        StructureViolationError,
-        ZeroPolynomialError,
-    ) as exc:
-        return _fail(EXIT_INTERNAL, f"internal: {exc}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
-from .errors import DocumentError, TooLargeError
+from .arith import check_cap
+from .errors import DocumentError
 from .graph import DirectedMultigraph
 from .iwasawa import IwasawaInvariants, TowerReport
 from .tower import DERIVED_VERTEX_CAP
@@ -107,10 +108,11 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
         )
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    if g.vertex_count > DERIVED_VERTEX_CAP:
-        raise TooLargeError(
-            f"vertex_count {g.vertex_count} exceeds the cap of {DERIVED_VERTEX_CAP}"
-        )
+    check_cap(
+        "vertex_count {count} exceeds the cap of {cap}",
+        g.vertex_count,
+        DERIVED_VERTEX_CAP,
+    )
     return g
 
 

@@ -1,16 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the command line's exit status for it as ``exit_code``:
+1 (an internal error) unless the class says otherwise.
+"""
 
 
 class VoltageTowerError(Exception):
     """Base class for all errors raised by this library."""
 
+    exit_code = 1
+
 
 class EmptyGraphError(VoltageTowerError):
     """Operation needs at least one vertex."""
 
+    exit_code = 2
+
 
 class NotConnectedError(VoltageTowerError):
     """Operation needs a connected graph."""
+
+    exit_code = 2
 
 
 class NotSquareError(VoltageTowerError):
@@ -22,6 +32,8 @@ class TooLargeError(VoltageTowerError):
     the derived-vertex or derived-edge cap of a tower or a generated
     graph, the vertex cap of a characteristic polynomial, or the cap on
     p."""
+
+    exit_code = 6
 
 
 class ZeroPolynomialError(VoltageTowerError):
@@ -36,20 +48,32 @@ class NonIntegralInterpolationError(VoltageTowerError):
 class InvalidPrimeError(VoltageTowerError):
     """Voltage modulus is not a prime ``int``."""
 
+    exit_code = 2
+
 
 class NotAUnitError(VoltageTowerError):
     """Parameter is divisible by p where a unit is required."""
 
+    exit_code = 3
+
 
 class NoTowerError(VoltageTowerError):
-    """The graph admits no constant tower for this prime.
+    """The graph named ``name`` admits no constant tower for this prime.
 
     ``reason`` is ``"acyclic"`` (the undirected image is a forest) or
-    ``"zero-weight-gcd"`` (every cycle has weight 0).
+    ``"zero-weight-gcd"`` (every cycle has weight 0), and the message says
+    which.
     """
 
-    def __init__(self, message: str, reason: str = "zero-weight-gcd"):
-        super().__init__(message)
+    exit_code = 4
+
+    def __init__(self, name: str, reason: str = "zero-weight-gcd"):
+        detail = (
+            "the undirected image is a forest"
+            if reason == "acyclic"
+            else "every cycle weight is 0, so no cycle weight is coprime to p"
+        )
+        super().__init__(f"{name} admits no constant tower ({detail})")
         self.reason = reason
 
 
@@ -61,6 +85,10 @@ class StructureViolationError(VoltageTowerError):
 class InvalidSpecError(VoltageTowerError):
     """Malformed generator parameters."""
 
+    exit_code = 2
+
 
 class DocumentError(VoltageTowerError):
     """Malformed JSON document."""
+
+    exit_code = 2

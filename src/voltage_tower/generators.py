@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidSpecError, NotConnectedError, TooLargeError
+from .arith import check_cap
+from .errors import InvalidSpecError, NotConnectedError
 from .graph import DirectedMultigraph, is_connected
 from .tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
 
@@ -111,21 +112,10 @@ class VolcanoSpec:
             raise InvalidSpecError("depth must be non-negative")
 
 
-def _check_size(name: str, vertices: int, edges: int) -> None:
-    """Raise TooLargeError, before anything is built, for a graph past the
-    caps every other command holds its input and output to."""
-    if vertices > DERIVED_VERTEX_CAP:
-        raise TooLargeError(
-            f"{name} exceeds the cap of {DERIVED_VERTEX_CAP} vertices"
-        )
-    if edges > DERIVED_EDGE_CAP:
-        raise TooLargeError(f"{name} exceeds the cap of {DERIVED_EDGE_CAP} edges")
-
-
 def directed_cycle(k: int) -> DirectedMultigraph:
     if k < 1:
         raise InvalidSpecError("cycle needs at least one vertex")
-    _check_size(f"cycle({k})", k, k)
+    check_cap("cycle({count}) exceeds the cap of {cap} vertices", k, DERIVED_VERTEX_CAP)
     edges = tuple((i, (i + 1) % k) for i in range(k))
     return DirectedMultigraph(k, edges, name=f"cycle({k})")
 
@@ -133,7 +123,9 @@ def directed_cycle(k: int) -> DirectedMultigraph:
 def bouquet(loops: int) -> DirectedMultigraph:
     if loops < 0:
         raise InvalidSpecError("loop count must be non-negative")
-    _check_size(f"bouquet({loops})", 1, loops)
+    check_cap(
+        "bouquet({count}) exceeds the cap of {cap} edges", loops, DERIVED_EDGE_CAP
+    )
     return DirectedMultigraph(
         1, tuple((0, 0) for _ in range(loops)), name=f"bouquet({loops})"
     )
@@ -171,9 +163,9 @@ def volcano(spec: VolcanoSpec) -> DirectedMultigraph:
         width *= fan_outs[-1]
         vertices += width
     name = f"volcano(l={spec.l},d={spec.depth},crater={crater.token})"
-    # one edge per vertex below the crater, and at most k + 1 in a crater
-    # of k vertices (two loops on one vertex)
-    _check_size(name, vertices, vertices + 1)
+    # one edge per vertex below the crater and at most k + 1 in a crater of
+    # k vertices (two loops on one vertex), so the edges stay within their cap
+    check_cap(name + " exceeds the cap of {cap} vertices", vertices, DERIVED_VERTEX_CAP)
     edges: list[tuple[int, int]] = []
     if crater.kind == CRATER_CYCLE:
         if crater.length == 1:

@@ -24,15 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import require_prime, valuation
+from .arith import check_cap, require_int, require_prime, valuation
 from .backend import elimination_schedule, replay_determinant
-from .errors import (
-    NoTowerError,
-    NotConnectedError,
-    StructureViolationError,
-    TooLargeError,
-    ZeroPolynomialError,
-)
+from .errors import NotConnectedError, StructureViolationError, ZeroPolynomialError
 from .graph import (
     DirectedMultigraph,
     adjacency_matrix,
@@ -45,11 +39,7 @@ from .graph import (
 )
 from .linalg import _interpolate_integer, cyclotomic_resultants, kirchhoff_count
 from .polynomial import IntPolynomial
-from .tower import (
-    CHARPOLY_VERTEX_CAP,
-    check_derived_size,
-    stabilization_level,
-)
+from .tower import CHARPOLY_VERTEX_CAP, check_derived_size, require_tower
 
 
 @dataclass(frozen=True)
@@ -115,11 +105,11 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     """
     require_orientation(g)
     r = g.vertex_count
-    if r > CHARPOLY_VERTEX_CAP:
-        raise TooLargeError(
-            f"{r} vertices exceed the characteristic-polynomial cap of "
-            f"{CHARPOLY_VERTEX_CAP}"
-        )
+    check_cap(
+        "{count} vertices exceed the characteristic-polynomial cap of {cap}",
+        r,
+        CHARPOLY_VERTEX_CAP,
+    )
     if not is_connected(g):
         raise NotConnectedError("characteristic polynomial needs a connected graph")
     prof = degree_profile(g)
@@ -203,11 +193,7 @@ def invariants(g: DirectedMultigraph, p: int) -> IwasawaInvariants:
     two exponents genuinely differ.)
     """
     require_prime(p)
-    profile = cycle_weight_profile(g)
-    n0 = stabilization_level(profile, p)
-    if n0 is None:
-        reason = "acyclic" if profile.is_acyclic else "zero-weight-gcd"
-        raise NoTowerError(f"{g.name} admits no constant tower", reason=reason)
+    n0 = require_tower(g, p)
     poly = char_poly(g)
     mu_total, lam_total = weierstrass(poly, p)
     q = p**n0
@@ -247,8 +233,7 @@ def verify_growth(
     int (a bool is not one) raises ValueError.
     """
     require_prime(p)  # before the size check, whose loop needs p >= 2
-    if type(n_max) is not int:
-        raise ValueError(f"n_max must be an int, not {type(n_max).__name__}")
+    require_int("n_max", n_max)
     check_derived_size(g.vertex_count, p, n_max)
     inv = invariants(g, p)
     n0 = inv.n0

@@ -15,14 +15,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arith import require_prime
+from .arith import check_cap, require_int, require_prime
 from .backend import bareiss_determinant
 from .errors import (
     NonIntegralInterpolationError,
     NotConnectedError,
     NotSquareError,
     StructureViolationError,
-    TooLargeError,
     ZeroPolynomialError,
 )
 from .graph import DirectedMultigraph, is_connected
@@ -93,12 +92,8 @@ def kirchhoff_count(
     matrix-tree theorem: (-1)^(row+col) det of the Laplacian minor.
     ``row`` and ``col`` that are not ints in range(vertex_count) (a bool
     is not one) raise ValueError."""
-    n = g.vertex_count
-    for name, index in (("row", row), ("col", col)):
-        if type(index) is not int or not 0 <= index < n:
-            raise ValueError(
-                f"{name} must be an int in range({n}), not {index!r}"
-            )
+    require_int("row", row, 0, g.vertex_count)
+    require_int("col", col, 0, g.vertex_count)
     if not is_connected(g):
         raise NotConnectedError("spanning trees need a connected graph")
     lap = _laplacian_rows(g)
@@ -117,10 +112,9 @@ def kirchhoff_count(
 def brute_force_spanning_trees(g: DirectedMultigraph) -> int:
     """Oracle: count (|V|-1)-subsets of non-loop edges that form a
     spanning tree, checked with union-find.  Capped at 16 edges."""
-    if len(g.edges) > BRUTE_FORCE_EDGE_CAP:
-        raise TooLargeError(
-            f"{len(g.edges)} edges exceeds the cap of {BRUTE_FORCE_EDGE_CAP}"
-        )
+    check_cap(
+        "{count} edges exceeds the cap of {cap}", len(g.edges), BRUTE_FORCE_EDGE_CAP
+    )
     if not is_connected(g):
         raise NotConnectedError("spanning trees need a connected graph")
     n = g.vertex_count
@@ -222,10 +216,7 @@ def cyclotomic_resultants(
     ValueError.
     """
     require_prime(p)
-    if type(levels) is not int:
-        raise ValueError(f"levels must be an int, not {type(levels).__name__}")
-    if levels < 0:
-        raise ValueError("levels must be non-negative")
+    require_int("levels", levels, 0)
     if poly.is_zero:
         raise ZeroPolynomialError("resultant against the zero polynomial")
     f = list(poly.coefficients)

@@ -12,13 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import require_prime, valuation
-from .errors import (
-    NoTowerError,
-    NotAUnitError,
-    StructureViolationError,
-    TooLargeError,
-)
+from .arith import check_cap, require_int, require_prime, valuation
+from .errors import NoTowerError, NotAUnitError, StructureViolationError
 from .graph import (
     CycleWeightProfile,
     DirectedMultigraph,
@@ -40,11 +35,7 @@ class ConstantVoltage:
 
     def __post_init__(self):
         require_prime(self.p)
-        if type(self.param) is not int:
-            raise ValueError(
-                f"voltage parameter must be an int, not "
-                f"{type(self.param).__name__}"
-            )
+        require_int("voltage parameter", self.param)
 
     @property
     def is_unit(self) -> bool:
@@ -80,23 +71,16 @@ DERIVED_EDGE_CAP = 500_000
 CHARPOLY_VERTEX_CAP = 64
 
 
-def _exceeds(count: int, p: int, n: int, cap: int) -> bool:
-    # count * p^n > cap, without computing p^n for a huge n (p >= 2)
-    for _ in range(n):
-        if count == 0 or count > cap:
-            break
-        count *= p
-    return count > cap
-
-
 def check_derived_size(base_vertices: int, p: int, n: int) -> None:
     """Raise TooLargeError when base_vertices * p^n exceeds
     DERIVED_VERTEX_CAP, without computing p^n for a huge n (p >= 2)."""
-    if _exceeds(base_vertices, p, n, DERIVED_VERTEX_CAP):
-        raise TooLargeError(
-            f"{base_vertices} * {p}^{n} derived vertices exceed the cap of "
-            f"{DERIVED_VERTEX_CAP}"
-        )
+    check_cap(
+        "{count} * {p}^{n} derived vertices exceed the cap of {cap}",
+        base_vertices,
+        DERIVED_VERTEX_CAP,
+        p,
+        n,
+    )
 
 
 def derive(
@@ -110,18 +94,17 @@ def derive(
     non-negative int (a bool is not one) raise ValueError.
     """
     require_orientation(base)
-    if type(n) is not int:
-        raise ValueError(f"level must be an int, not {type(n).__name__}")
-    if n < 0:
-        raise ValueError("level must be non-negative")
+    require_int("level", n, 0)
     check_derived_size(base.vertex_count, voltage.p, n)
     if n == 0:
         return DerivedGraph(base, base.vertex_count, 0)
-    if _exceeds(len(base.edges), voltage.p, n, DERIVED_EDGE_CAP):
-        raise TooLargeError(
-            f"{len(base.edges)} * {voltage.p}^{n} derived edges exceed the "
-            f"cap of {DERIVED_EDGE_CAP}"
-        )
+    check_cap(
+        "{count} * {p}^{n} derived edges exceed the cap of {cap}",
+        len(base.edges),
+        DERIVED_EDGE_CAP,
+        voltage.p,
+        n,
+    )
     modulus = voltage.p**n
     a = voltage.param % modulus
     nv = base.vertex_count
@@ -162,18 +145,25 @@ def stabilization_level(
     return valuation(profile.weight_gcd, p)
 
 
+def require_tower(g: DirectedMultigraph, p: int) -> int:
+    """The stabilization level n0 of the constant tower over ``g`` at p;
+    NoTowerError, saying why, when there is none."""
+    profile = cycle_weight_profile(g)
+    n0 = stabilization_level(profile, p)
+    if n0 is None:
+        raise NoTowerError(
+            g.name, "acyclic" if profile.is_acyclic else "zero-weight-gcd"
+        )
+    return n0
+
+
 def tower_component(
     base: DirectedMultigraph, voltage: ConstantVoltage, n: int
 ) -> DirectedMultigraph:
     """The connected component of the level-n derived graph containing
     vertex (0, 0), reindexed densely; labels keep the derived names
     ``v{v}@{sigma}`` as the map back to derived indices."""
-    profile = cycle_weight_profile(base)
-    if stabilization_level(profile, voltage.p) is None:
-        reason = "acyclic" if profile.is_acyclic else "zero-weight-gcd"
-        raise NoTowerError(
-            f"{base.name} admits no constant tower", reason=reason
-        )
+    require_tower(base, voltage.p)
     if not voltage.is_unit:
         raise NotAUnitError(
             f"parameter {voltage.param} is divisible by {voltage.p}"
