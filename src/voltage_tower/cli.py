@@ -1,18 +1,18 @@
 """Command-line interface.
 
 Subcommands: gen, derive, invariants, verify, export-dot, oracle.  Data
-goes to stdout or the -o path; diagnostics go to stderr.  Exit codes: 0
-success, 5 growth-law mismatch, 2 for a ValueError or OSError (an
-undirected graph given to derive, invariants or verify among them), and
-for a library error the ``exit_code`` of its class: 1 internal error (an
-identity the theory guarantees failed: a bug), 2 invalid parameters or
-malformed input (InvalidPrimeError, InvalidSpecError, DocumentError,
-EmptyGraphError, NotConnectedError), 3 non-unit parameter (NotAUnitError),
-4 no tower exists (NoTowerError), 6 size cap exceeded (TooLargeError: the
-oracle's edge cap, the derived-vertex cap on a tower level, on an input
-graph's vertex count or on a gen family, the derived-edge cap of derive
-or of a gen family, the vertex cap of the characteristic polynomial
-behind invariants and verify, or a p above 2^32).
+goes to stdout or the -o path; diagnostics go to stderr.  Exit codes:
+0 success; 1 internal error (an identity the theory guarantees failed:
+a bug); 2 invalid parameters or malformed input (InvalidPrimeError,
+InvalidSpecError, DocumentError, EmptyGraphError, NotConnectedError, and
+any ValueError or OSError, an undirected graph given to derive,
+invariants or verify among them); 3 non-unit parameter (NotAUnitError);
+4 no tower exists (NoTowerError); 5 growth-law mismatch; 6 size cap
+exceeded (TooLargeError: the oracle's edge cap, the derived-vertex cap on
+a tower level, on an input graph's vertex count or on a gen family, the
+derived-edge cap of derive or of a gen family, the vertex cap of the
+characteristic polynomial behind invariants and verify, or a p above
+2^32).  A library error's code is the ``exit_code`` of its class.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import check_cap
+from .arith import check_cap, require_int
 from .errors import InvalidSpecError, NotConnectedError
 from .graph import DirectedMultigraph, is_connected
 from .tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
@@ -30,7 +30,8 @@ CRATER_BARE = "bare"
 @dataclass(frozen=True)
 class CraterSpec:
     """Crater shape; a cycle of length 1 is a single vertex with one loop
-    and a cycle of length 2 is two vertices joined by two edges."""
+    and a cycle of length 2 is two vertices joined by two edges.  Only a
+    cycle reads ``length``, but every kind holds it to an int >= 1."""
 
     kind: str
     length: int = 1
@@ -38,8 +39,7 @@ class CraterSpec:
     def __post_init__(self):
         if self.kind not in (CRATER_CYCLE, CRATER_TWO_LOOPS, CRATER_BARE):
             raise InvalidSpecError(f"unknown crater kind {self.kind!r}")
-        if self.kind == CRATER_CYCLE and self.length < 1:
-            raise InvalidSpecError("cycle crater needs length >= 1")
+        require_int("length", self.length, 1, error=InvalidSpecError)
 
     @classmethod
     def cycle(cls, k: int) -> "CraterSpec":
@@ -106,23 +106,19 @@ class VolcanoSpec:
     crater: CraterSpec
 
     def __post_init__(self):
-        if self.l < 2:
-            raise InvalidSpecError("volcano needs l >= 2")
-        if self.depth < 0:
-            raise InvalidSpecError("depth must be non-negative")
+        require_int("l", self.l, 2, error=InvalidSpecError)
+        require_int("depth", self.depth, 0, error=InvalidSpecError)
 
 
 def directed_cycle(k: int) -> DirectedMultigraph:
-    if k < 1:
-        raise InvalidSpecError("cycle needs at least one vertex")
+    require_int("length", k, 1, error=InvalidSpecError)
     check_cap("cycle({count}) exceeds the cap of {cap} vertices", k, DERIVED_VERTEX_CAP)
     edges = tuple((i, (i + 1) % k) for i in range(k))
     return DirectedMultigraph(k, edges, name=f"cycle({k})")
 
 
 def bouquet(loops: int) -> DirectedMultigraph:
-    if loops < 0:
-        raise InvalidSpecError("loop count must be non-negative")
+    require_int("loops", loops, 0, error=InvalidSpecError)
     check_cap(
         "bouquet({count}) exceeds the cap of {cap} edges", loops, DERIVED_EDGE_CAP
     )

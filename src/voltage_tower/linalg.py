@@ -32,16 +32,17 @@ BRUTE_FORCE_EDGE_CAP = 16
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense arbitrary-precision integer matrix, entries row-major."""
+    """Dense arbitrary-precision integer matrix, entries row-major.  The
+    entries must be ``int`` (a bool is not one); nothing is converted."""
 
     rows: int
     cols: int
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(int(e) for e in self.entries)
-        )
+        object.__setattr__(self, "entries", tuple(self.entries))
+        for e in self.entries:
+            require_int("matrix entry", e)
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entries length must be rows * cols")
 

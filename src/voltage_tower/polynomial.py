@@ -1,7 +1,8 @@
 """Exact big-integer polynomials in one variable T.
 
-Coefficients are stored ascending (index i holds the T^i coefficient)
-with trailing zeros trimmed; the zero polynomial has no coefficients.
+Coefficients are ``int`` (a bool is not one), stored ascending (index i
+holds the T^i coefficient) with trailing zeros trimmed; the zero
+polynomial has no coefficients.
 """
 
 from __future__ import annotations
@@ -9,9 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .arith import require_int
+
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = [int(c) for c in coeffs]
+    out = list(coeffs)
+    for c in out:
+        require_int("coefficient", c)
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -41,12 +46,6 @@ class IntPolynomial:
     def __iter__(self) -> Iterator[int]:
         return iter(self.coefficients)
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def taylor_shift(self, a: int) -> "IntPolynomial":
         """P(x + a), by repeated synthetic division of the coefficient
         list in place: O(degree^2) additions, no polynomial products."""
@@ -55,59 +54,3 @@ class IntPolynomial:
             for j in range(len(c) - 2, i - 1, -1):
                 c[j] += a * c[j + 1]
         return IntPolynomial(c)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def scale(self, k: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(k * c for c in self.coefficients))
-
-    def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        result = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*T")
-            else:
-                parts.append(f"{c}*T^{i}")
-        return " + ".join(parts).replace("+ -", "- ")

@@ -129,7 +129,9 @@ def predicted_component_count(
 ) -> int:
     """Component count of the level-n derived graph (unit parameter),
     read off the cycle-weight lattice: the deck group acts with stabilizer
-    of index p^min(n, v_p(gcd))."""
+    of index p^min(n, v_p(gcd)).  p must be prime and n an int >= 0."""
+    require_prime(p)
+    require_int("n", n, 0)
     if profile.is_acyclic or profile.weight_gcd == 0:
         return p**n
     return p ** min(n, valuation(profile.weight_gcd, p))
@@ -139,7 +141,9 @@ def stabilization_level(
     profile: CycleWeightProfile, p: int
 ) -> Optional[int]:
     """Least level n0 past which the component count is constant, or None
-    when no tower exists (forest, or every cycle weight 0)."""
+    when no tower exists (forest, or every cycle weight 0); p must be
+    prime."""
+    require_prime(p)
     if profile.is_acyclic or profile.weight_gcd == 0:
         return None
     return valuation(profile.weight_gcd, p)

@@ -453,6 +453,68 @@ def charpoly_2r_plus_1(g: DirectedMultigraph) -> IntPolynomial:
     return poly_matrix_determinant([c0, c1, c2])
 
 
+# Polynomial arithmetic on ascending coefficient sequences, as IntPolynomial's
+# operators had it.  Results are tuples with trailing zeros trimmed, so
+# IntPolynomial(result) holds the same coefficients.
+
+
+def _trimmed(coeffs) -> tuple:
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_eval(coeffs, x: int) -> int:
+    """The polynomial's value at x, by Horner's rule."""
+    acc = 0
+    for c in reversed(tuple(coeffs)):
+        acc = acc * x + c
+    return acc
+
+
+def poly_add(a, b) -> tuple:
+    a, b = tuple(a), tuple(b)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trimmed(out)
+
+
+def poly_scale(a, k: int) -> tuple:
+    return _trimmed(k * c for c in a)
+
+
+def poly_sub(a, b) -> tuple:
+    return poly_add(a, poly_scale(b, -1))
+
+
+def poly_mul(a, b) -> tuple:
+    a, b = _trimmed(a), _trimmed(b)
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def poly_pow(a, n: int) -> tuple:
+    """a^n for n >= 0, by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative power")
+    result, base = (1,), _trimmed(a)
+    while n:
+        if n & 1:
+            result = poly_mul(result, base)
+        base = poly_mul(base, base)
+        n >>= 1
+    return result
+
+
 # The volcano recognizers as the library had them before they were merged
 # into one: a crater walk and a peel-and-layer check each for volcanoes
 # and for augmented volcanoes.  Kept verbatim as the equivalence oracle.

@@ -69,6 +69,29 @@ def test_crater_spec_validation():
     assert CraterSpec.one_loop() == CraterSpec.cycle(1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: directed_cycle(2.0),
+        lambda: directed_cycle(True),
+        lambda: directed_cycle(0),
+        lambda: bouquet(2.5),
+        lambda: bouquet(-1),
+        lambda: CraterSpec("cycle", 2.5),
+        lambda: CraterSpec.cycle(True),
+        lambda: CraterSpec("bare", 0),
+        lambda: VolcanoSpec(2.0, 1, CraterSpec.cycle(3)),
+        lambda: VolcanoSpec(True, 1, CraterSpec.cycle(3)),
+        lambda: VolcanoSpec(2, True, CraterSpec.cycle(3)),
+        lambda: VolcanoSpec(2, 1.0, CraterSpec.cycle(3)),
+        lambda: VolcanoSpec(2, "1", CraterSpec.cycle(3)),
+    ],
+)
+def test_generator_arguments_are_ints_in_range(build):
+    with pytest.raises(InvalidSpecError):
+        build()
+
+
 def test_crater_tokens_round_trip():
     for crater in ALL_CRATERS:
         assert CraterSpec.from_token(crater.token) == crater

@@ -127,6 +127,22 @@ def test_predicted_component_count_examples():
     assert component_count(d.graph) == 2
 
 
+def test_tower_formulas_check_p_and_the_level():
+    tri = cycle_weight_profile(directed_cycle(3))
+    for n in (-1, 2.0, True):
+        with pytest.raises(ValueError):
+            predicted_component_count(tri, 2, n)
+    tree = cycle_weight_profile(DirectedMultigraph(2, ((0, 1),)))
+    for profile in (tri, tree):
+        for p in (4, 1, 2.0, True):
+            with pytest.raises(InvalidPrimeError):
+                predicted_component_count(profile, p, 1)
+            with pytest.raises(InvalidPrimeError):
+                stabilization_level(profile, p)
+    assert predicted_component_count(tri, 3, 0) == 1
+    assert predicted_component_count(tree, 2, 3) == 8
+
+
 def test_all_components_alike(corpus):
     for g in corpus:
         for p in (2, 3):
