@@ -160,7 +160,8 @@ def volcano(spec: VolcanoSpec) -> DirectedMultigraph:
         vertices += width
     name = f"volcano(l={spec.l},d={spec.depth},crater={crater.token})"
     # one edge per vertex below the crater and at most k + 1 in a crater of
-    # k vertices (two loops on one vertex), so the edges stay within their cap
+    # k vertices (two loops on one vertex): within the vertex cap, the edges
+    # stay within theirs
     check_cap(name + " exceeds the cap of {cap} vertices", vertices, DERIVED_VERTEX_CAP)
     edges: list[tuple[int, int]] = []
     if crater.kind == CRATER_CYCLE:
