@@ -4,14 +4,14 @@ Step k of Bareiss elimination replaces every row i below the pivot by
 (pivot_k * row_i - m_ik * row_k) / pivot_{k-1}; each entry it yields is a
 minor of the input, so every division is exact.
 
-``bareiss_determinant`` does just that, with row swaps, and serves any
-single matrix: the Kirchhoff minor, the resultant matrices and the checks.
-``replay_determinant`` serves many matrices of one sparsity pattern, the
-charpoly's r + 1 evaluations: ``elimination_schedule`` works out an
-elimination order and its fill once, as a schedule, and the replay visits
-only the scheduled rows and columns, with lazy divisors for the rows a
-pivot leaves alone.  It falls back to ``bareiss_determinant`` on a
-numerically zero pivot.
+``replay_determinant`` serves every graph determinant: the charpoly's r + 1
+evaluations of M(k) = Dk - Ak^2 - A^t and the Kirchhoff minor of M(1).
+``elimination_schedule`` works out an elimination order and its fill once,
+as a schedule, and the replay visits only the scheduled rows and columns,
+with lazy divisors for the rows a pivot leaves alone.  On a zero pivot with
+rows left to update it returns None, and calls no other kernel.
+``bareiss_determinant``, with row swaps, serves the dense matrices that come
+from no graph: the resultant matrices and ``linalg.determinant``.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def elimination_schedule(adj: list[list[int]]) -> Schedule:
-    """Greedy minimum-degree elimination of the symmetric pattern of
-    A + A^t, ties broken by the least vertex, as the schedule that
+def elimination_schedule(rows: list[list[int]]) -> Schedule:
+    """Greedy minimum-degree elimination of the off-diagonal pattern of
+    ``rows``, made symmetric ((i, j) with rows[i][j] or rows[j][i] nonzero),
+    ties broken by the least vertex, as the schedule that
     ``replay_determinant`` follows.
 
     Eliminating a vertex joins its remaining neighbours, as elimination
@@ -68,9 +69,9 @@ def elimination_schedule(adj: list[list[int]]) -> Schedule:
     included, and each remaining neighbour u with its columns after the
     fill, itself included.
     """
-    r = len(adj)
+    r = len(rows)
     nbrs = [
-        {j for j in range(r) if j != i and (adj[i][j] or adj[j][i])}
+        {j for j in range(r) if j != i and (rows[i][j] or rows[j][i])}
         for i in range(r)
     ]
     left = set(range(r))
@@ -87,7 +88,7 @@ def elimination_schedule(adj: list[list[int]]) -> Schedule:
     return schedule
 
 
-def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int:
+def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int | None:
     """Exact determinant by fraction-free elimination along a schedule
     worked out on the sparsity pattern of ``rows``.
 
@@ -106,11 +107,11 @@ def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int:
     prev / div[u] is the Bareiss row, whose entries are minors of the
     input.  So every division below is exact: updating row u divides by
     div[u] in place of prev, and a pivot row is brought up to date by the
-    factor prev / div[v] before it is used.  A pivot that is zero with
-    rows left to update makes the order unusable, and the matrix goes to
-    ``bareiss_determinant`` instead; one with none left sits on a zero row
-    of the remaining block, so the determinant is 0.  The input is not
-    modified.
+    factor prev / div[v] before it is used.  Each pivot is a leading
+    principal minor in schedule order.  One that is zero with rows left to
+    update makes the order unusable, and the result is None; one with none
+    left sits on a zero row of the remaining block, so the determinant is
+    0.  The input is not modified.
     """
     m = [list(r) for r in rows]
     div = [1] * len(m)
@@ -123,7 +124,7 @@ def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int:
                 row_v[j] = row_v[j] * prev // d
         pivot = row_v[v]
         if pivot == 0:
-            return bareiss_determinant(rows) if updates else 0
+            return None if updates else 0
         for u, cols_u in updates:
             row_u = m[u]
             factor = row_u[v]

@@ -29,7 +29,6 @@ from .backend import elimination_schedule, replay_determinant
 from .errors import NotConnectedError, StructureViolationError, ZeroPolynomialError
 from .graph import (
     DirectedMultigraph,
-    adjacency_matrix,
     cycle_weight_profile,
     degree_profile,
     is_adjacency_normal,
@@ -37,7 +36,9 @@ from .graph import (
     is_total_degree_constant,
     require_orientation,
 )
-from .linalg import _interpolate_integer, cyclotomic_resultants, kirchhoff_count
+from .linalg import (
+    _cleared_matrix, _interpolate_integer, cyclotomic_resultants, kirchhoff_count
+)
 from .polynomial import IntPolynomial
 from .tower import CHARPOLY_VERTEX_CAP, check_derived_size, require_tower
 
@@ -94,9 +95,13 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     lcm of the |k|, S_L(z) = L^r S(z / L) has integer coefficients s_j
     L^(r-j) and takes the integer value (L/k)^r Q(k) at the integer node
     z = (k^2 + 1) L/k, so integer Newton interpolation recovers it and
-    exact divisions give the s_j.  The r + 1 matrices share one sparsity
-    pattern, so one elimination schedule, worked out once per graph, is
-    replayed on each of them.
+    exact divisions give the s_j.  Each M(k) has the off-diagonal pattern
+    of the Laplacian M(1), so one schedule, planned on M(1), is replayed on
+    all of them.  A k whose replay meets a zero pivot is skipped for the
+    next, and L is the lcm of the k used.  A pivot of order j < r is a
+    leading minor, of degree <= 2j in k and positive at k = 1 (a proper
+    minor of a connected Laplacian), so at most r(r - 1) nodes fail and
+    r^2 + 1 candidates always leave r + 1.
 
     Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
     out at least a double root: T^2 divides P(T), checked here.  Undirected
@@ -112,32 +117,21 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     )
     if not is_connected(g):
         raise NotConnectedError("characteristic polynomial needs a connected graph")
-    prof = degree_profile(g)
-    adj = adjacency_matrix(g)
-    schedule = elimination_schedule(adj)
-    deg = [d_i + d_o for d_i, d_o in zip(prof.in_deg, prof.out_deg)]
-    # entry (i, j) of Dk - Ak^2 - A^t is -a k^2 - b, plus deg_i k if i = j
-    entries = [
-        (i, j, adj[i][j], adj[j][i])
-        for i in range(r)
-        for j in range(r)
-        if adj[i][j] or adj[j][i]
-    ]
-    # -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
-    ks = [-1] + [e * k for k in range(2, r // 2 + 3) for e in (1, -1)]
-    ks = ks[: r + 1]
-    big = math.lcm(*ks)
-    zs, ws = [], []
-    for k in ks:
-        kk = k * k
-        m = [[0] * r for _ in range(r)]
-        for i, j, a, b in entries:
-            m[i][j] = -a * kk - b
-        for i in range(r):
-            m[i][i] += deg[i] * k
-        scale = big // k
-        zs.append((k * k + 1) * scale)
-        ws.append(scale**r * replay_determinant(schedule, m))
+    schedule = elimination_schedule(_cleared_matrix(g, 1))
+    nodes = []
+    # k = -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
+    for i in range(1, r * r + 2):
+        k = (-1) ** i * (i // 2 + 1)
+        det = replay_determinant(schedule, _cleared_matrix(g, k))
+        if det is not None:
+            nodes.append((k, det))
+            if len(nodes) == r + 1:
+                break
+    else:
+        raise StructureViolationError(f"{len(nodes)} of {r * r + 1} nodes replayed")
+    big = math.lcm(*(k for k, _ in nodes))
+    zs = [(k * k + 1) * (big // k) for k, _ in nodes]
+    ws = [(big // k) ** r * det for k, det in nodes]
     s_hat = _interpolate_integer(zs, ws)
     s = []
     for j in range(r + 1):

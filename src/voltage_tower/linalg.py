@@ -1,11 +1,11 @@
 """Exact big-integer linear algebra.
 
 Everything here is exact: determinants by fraction-free elimination,
-spanning-tree counts through the Laplacian, integer Newton interpolation
-at integer nodes, and resultants
-of an integer polynomial against the cyclotomic polynomials Phi_{p^k} by
-root powering: one Newton-identity step and one (p-1) x (p-1)
-determinant per k.  No floating point anywhere; p-adic valuations
+the graph matrices M(k) = Dk - Ak^2 - A^t, spanning-tree counts through
+the Laplacian M(1), integer Newton interpolation at integer nodes, and
+resultants of an integer polynomial against the cyclotomic polynomials
+Phi_{p^k} by root powering: one Newton-identity step and one
+(p-1) x (p-1) determinant per k.  No floating point anywhere; p-adic valuations
 downstream depend on it.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import check_cap, require_int, require_prime
-from .backend import bareiss_determinant
+from .backend import bareiss_determinant, elimination_schedule, replay_determinant
 from .errors import (
     NonIntegralInterpolationError,
     NotConnectedError,
@@ -71,41 +71,40 @@ def determinant(m: IntMatrix) -> int:
     return bareiss_determinant(m.to_rows())
 
 
-def _laplacian_rows(g: DirectedMultigraph) -> list[list[int]]:
-    # Laplacian of the undirected image; loops are dropped (they belong to
-    # no spanning tree and would cancel in D - A - A^t anyway).
+def _cleared_matrix(g: DirectedMultigraph, k: int) -> list[list[int]]:
+    """M(k) = Dk - Ak^2 - A^t (D total degrees, loops counted twice; A
+    adjacency, loops once), four updates per edge.  A loop's 2k - k^2 - 1
+    vanishes at k = 1, so M(1) is the Laplacian of the undirected image."""
     n = g.vertex_count
-    lap = [[0] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
     for s, t in g.edges:
-        if s == t:
-            continue
-        lap[s][s] += 1
-        lap[t][t] += 1
-        lap[s][t] -= 1
-        lap[t][s] -= 1
-    return lap
+        m[s][s] += k
+        m[t][t] += k
+        m[s][t] -= k * k
+        m[t][s] -= 1
+    return m
 
 
 def kirchhoff_count(
     g: DirectedMultigraph, row: int = 0, col: int = 0
 ) -> int:
     """Number of spanning trees of the undirected image via the
-    matrix-tree theorem: (-1)^(row+col) det of the Laplacian minor.
-    ``row`` and ``col`` that are not ints in range(vertex_count) (a bool
-    is not one) raise ValueError."""
+    matrix-tree theorem: the replayed principal minor of the Laplacian
+    M(1) without ``row``.  It is positive definite, so a zero pivot or a
+    count below 1 raises StructureViolationError.  ``row`` that is not an
+    int in range(vertex_count) (a bool is not one), or ``col`` other than
+    ``row``, raises ValueError."""
     require_int("row", row, 0, g.vertex_count)
-    require_int("col", col, 0, g.vertex_count)
+    require_int("col", col, row, row + 1)
     if not is_connected(g):
         raise NotConnectedError("spanning trees need a connected graph")
-    lap = _laplacian_rows(g)
     minor = [
-        [x for j, x in enumerate(r) if j != col]
-        for i, r in enumerate(lap)
+        [x for j, x in enumerate(r) if j != row]
+        for i, r in enumerate(_cleared_matrix(g, 1))
         if i != row
     ]
-    det = bareiss_determinant(minor)
-    count = -det if (row + col) % 2 else det
-    if count < 1:
+    count = replay_determinant(elimination_schedule(minor), minor)
+    if count is None or count < 1:
         raise StructureViolationError("spanning-tree count must be positive")
     return count
 

@@ -95,7 +95,7 @@ def patterned_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=patterned_matrices())
-# a zero first pivot with a row left to update: the fallback's answer
+# a zero first pivot with a row left to update: no determinant
 @example(case=([[0, 1], [0, 0]], [[0, 2], [3, 1]]))
 # vertex 0 has no neighbour and a zero pivot, so its row is zero
 @example(case=([[0, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [0, 1, 2], [0, 3, 4]]))
@@ -112,6 +112,20 @@ def patterned_matrices(draw):
 def test_replay_of_the_minimum_degree_schedule_matches_dense_elimination(case):
     adj, rows = case
     snapshot = [r[:] for r in rows]
-    det = replay_determinant(elimination_schedule(adj), rows)
+    schedule = elimination_schedule(adj)
+    det = replay_determinant(schedule, rows)
     assert rows == snapshot
-    assert det == dense_bareiss(rows)
+    # the pivot of step j is the leading principal minor of order j in
+    # schedule order; the first zero one decides: None while it has rows
+    # to update, else a zero row and the determinant 0
+    order = [v for v, _, _ in schedule]
+    for j, (_, _, updates) in enumerate(schedule, 1):
+        lead = order[:j]
+        if dense_bareiss([[rows[a][b] for b in lead] for a in lead]) == 0:
+            if updates:
+                assert det is None
+            else:
+                assert det == 0 == dense_bareiss(rows)
+            break
+    else:
+        assert det == dense_bareiss(rows)

@@ -564,7 +564,7 @@ def test_a_charpoly_over_its_cap_exits_6_at_once(tmp_path, capsys, monkeypatch):
     def no_matrix(*args):
         raise AssertionError("a matrix was built")
 
-    monkeypatch.setattr(iwasawa, "adjacency_matrix", no_matrix)
+    monkeypatch.setattr(iwasawa, "_cleared_matrix", no_matrix)
     monkeypatch.setattr(iwasawa, "kirchhoff_count", no_matrix)
     big = tmp_path / "c50000.json"
     write_graph(directed_cycle(50_000), str(big))

@@ -36,14 +36,14 @@ from voltage_tower import (
     volcano,
     weierstrass,
 )
-from voltage_tower import backend, iwasawa
+from voltage_tower import backend, iwasawa, linalg
 from voltage_tower.arith import PRIME_CAP, require_prime, valuation
 from voltage_tower.backend import (
     bareiss_determinant,
     elimination_schedule,
     replay_determinant,
 )
-from voltage_tower.linalg import _laplacian_rows
+from voltage_tower.linalg import _cleared_matrix
 from voltage_tower.tower import CHARPOLY_VERTEX_CAP
 
 from oracles import (
@@ -208,44 +208,71 @@ def test_char_poly_rejects_a_half_that_is_not_integral(monkeypatch):
 def test_char_poly_rejects_one_corrupted_evaluation(
     monkeypatch, corpus, offset, error, match
 ):
-    # one determinant corrupted, at each of the r + 1 points k in turn; the
-    # interpolation nodes are z = (k^2 + 1) L/k with L = lcm |k|
+    # one determinant corrupted, at each of the r + 1 nodes k used in turn;
+    # the interpolation nodes are z = (k^2 + 1) L/k with L = lcm |k|
     for g in corpus:
         r = g.vertex_count
-        ks = [-1] + [e * k for k in range(2, r + 3) for e in (1, -1)]
-        ks = ks[: r + 1]
-        big = math.lcm(*ks)
-        zs = [(k * k + 1) * (big // k) for k in ks]
+        ks, dets = [], []
+
+        def spied_matrix(g, k, real=linalg._cleared_matrix):
+            ks.append(k)
+            return real(g, k)
+
+        def spied_replay(schedule, m):
+            dets.append(replay_determinant(schedule, m))
+            return dets[-1]
+
+        monkeypatch.setattr(iwasawa, "_cleared_matrix", spied_matrix)
+        monkeypatch.setattr(iwasawa, "replay_determinant", spied_replay)
+        char_poly(g)
+        monkeypatch.undo()
+        # ks[0] = 1 is the schedule's matrix; a skipped node gives None
+        used = [k for k, det in zip(ks[1:], dets) if det is not None]
+        assert len(used) == r + 1, g.name
+        big = math.lcm(*used)
+        zs = [(k * k + 1) * (big // k) for k in used]
+        positions = [i for i, det in enumerate(dets) if det is not None]
         for bad in range(r + 1):
             delta = math.prod(zs[bad] - z for z in zs if z != zs[bad])
             delta = {"one": 1, "nodes": delta, "nodes_L": delta * big**r}[offset]
             calls = itertools.count()
 
-            def corrupted(schedule, m, calls=calls, bad=bad, delta=delta):
+            def corrupted(schedule, m, calls=calls, at=positions[bad], delta=delta):
                 det = replay_determinant(schedule, m)
-                return det + delta if next(calls) == bad else det
+                return det + delta if next(calls) == at else det
 
             monkeypatch.setattr(iwasawa, "replay_determinant", corrupted)
             with pytest.raises(error, match=match):
                 char_poly(g)
-            assert next(calls) == r + 1, g.name
+            # r + 1 nodes plus the skipped ones
+            assert next(calls) == len(dets), g.name
 
 
-def test_char_poly_falls_back_on_a_zero_pivot(monkeypatch):
+def test_char_poly_skips_a_node_with_a_zero_pivot(monkeypatch):
     # vertex 0, with total degree 5, two loops and one neighbour, is
-    # eliminated first; its pivot 5k - 2(k^2 + 1) vanishes at k = 2 only
+    # eliminated first; its pivot 5k - 2(k^2 + 1) vanishes at k = 2 only,
+    # so k = 2 is skipped and P(T) comes from k = -1, -2, 3, -3
     g = DirectedMultigraph(3, ((0, 0), (0, 0), (0, 1), (1, 2), (2, 1)))
     expected = charpoly_2r_plus_1(g)
-    fallbacks = []
+    ks, dets = [], []
 
-    def counted(rows, real=backend.bareiss_determinant):
-        fallbacks.append(rows)
-        return real(rows)
+    def spied_matrix(g, k, real=linalg._cleared_matrix):
+        ks.append(k)
+        return real(g, k)
 
-    monkeypatch.setattr(backend, "bareiss_determinant", counted)
+    def spied_replay(schedule, m):
+        dets.append(replay_determinant(schedule, m))
+        return dets[-1]
+
+    def no_bareiss(rows):
+        raise AssertionError("a graph determinant went to dense Bareiss")
+
+    monkeypatch.setattr(iwasawa, "_cleared_matrix", spied_matrix)
+    monkeypatch.setattr(iwasawa, "replay_determinant", spied_replay)
+    monkeypatch.setattr(backend, "bareiss_determinant", no_bareiss)
     assert char_poly(g) == expected
-    assert len(fallbacks) == 1
-    assert fallbacks[0][0][0] == 0
+    assert ks == [1, -1, 2, -2, 3, -3]
+    assert [det is None for det in dets] == [False, True, False, False, False]
 
 
 def test_char_poly_matches_the_2r_plus_1_node_oracle(corpus):
@@ -262,10 +289,10 @@ def test_char_poly_matches_the_oracle_with_loops_and_parallel_edges(g):
 def test_char_poly_refuses_a_graph_over_the_cap_before_any_matrix(
     monkeypatch,
 ):
-    def no_matrix(g):
+    def no_matrix(g, k):
         raise AssertionError("a matrix was built")
 
-    monkeypatch.setattr(iwasawa, "adjacency_matrix", no_matrix)
+    monkeypatch.setattr(iwasawa, "_cleared_matrix", no_matrix)
     with pytest.raises(TooLargeError):
         char_poly(directed_cycle(CHARPOLY_VERTEX_CAP + 1))
 
@@ -529,7 +556,7 @@ def test_verify_growth_rejects_a_charpoly_not_decimated_by_p_to_the_n0(
 
 
 def _smith_form_product(g: DirectedMultigraph) -> int:
-    reduced = [row[1:] for row in _laplacian_rows(g)[1:]]
+    reduced = [row[1:] for row in _cleared_matrix(g, 1)[1:]]
     matrix = IntMatrix.from_rows(reduced) if reduced else IntMatrix(0, 0, ())
     return math.prod(smith_normal_form(matrix))
 

@@ -28,13 +28,14 @@ from voltage_tower import (
 )
 from voltage_tower import linalg
 from voltage_tower.backend import bareiss_determinant
-from voltage_tower.linalg import _interpolate_integer, _laplacian_rows, _root_power
+from voltage_tower.linalg import _cleared_matrix, _interpolate_integer, _root_power
 
 from oracles import (
     _default_points,
     cofactor_determinant,
     companion_resultants,
     cyclotomic_prime_power,
+    dense_bareiss,
     poly_add,
     poly_eval,
     poly_matrix_determinant,
@@ -129,9 +130,14 @@ def test_kirchhoff_examples():
 
 
 def test_kirchhoff_rejects_a_non_positive_count(monkeypatch):
-    monkeypatch.setattr(linalg, "bareiss_determinant", lambda rows: 0)
-    with pytest.raises(StructureViolationError):
-        kirchhoff_count(directed_cycle(3))
+    # the minor is positive definite: a count of 0, or a zero pivot (None),
+    # is a fault
+    for det in (0, None):
+        monkeypatch.setattr(
+            linalg, "replay_determinant", lambda schedule, rows, det=det: det
+        )
+        with pytest.raises(StructureViolationError):
+            kirchhoff_count(directed_cycle(3))
 
 
 def test_kirchhoff_checks_its_indices():
@@ -163,9 +169,14 @@ def test_kirchhoff_minor_choice_is_free(corpus):
     for g in corpus:
         n = g.vertex_count
         base = kirchhoff_count(g)
-        assert kirchhoff_count(g, row=n - 1, col=n - 1) == base
+        for row in range(n):
+            assert kirchhoff_count(g, row=row, col=row) == base, g.name
         if n >= 2:
-            assert kirchhoff_count(g, row=0, col=1) == base
+            with pytest.raises(ValueError):
+                kirchhoff_count(g, row=0, col=1)
+            # the (0, 1) cofactor, by the oracle: -det of the minor is kappa
+            minor = [r[:1] + r[2:] for r in _cleared_matrix(g, 1)[1:]]
+            assert dense_bareiss(minor) == -base, g.name
 
 
 def test_brute_force_examples():
@@ -182,7 +193,7 @@ def test_brute_force_examples():
 
 def test_smith_normal_form_examples():
     assert smith_normal_form(IntMatrix.from_rows([[2, -1], [-1, 2]])) == [1, 3]
-    lap4 = _laplacian_rows(directed_cycle(4))
+    lap4 = _cleared_matrix(directed_cycle(4), 1)
     reduced = IntMatrix.from_rows([row[1:] for row in lap4[1:]])
     factors = smith_normal_form(reduced)
     product = 1

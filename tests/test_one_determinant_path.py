@@ -1,0 +1,102 @@
+"""Every graph determinant goes through ``backend.replay_determinant`` on
+matrices from ``linalg._cleared_matrix``: dense Bareiss serves only the
+matrices that come from no graph, the replay calls no other kernel, and
+no second builder writes a graph matrix."""
+
+import ast
+import builtins
+from pathlib import Path
+
+import voltage_tower
+
+PACKAGE = Path(voltage_tower.__file__).parent
+
+
+def owners(predicate):
+    """(module, top-level definition) of each node of the package that
+    ``predicate`` accepts; module-level statements belong to
+    ``<module>``."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", "<module>")
+            if any(predicate(node) for node in ast.walk(stmt)):
+                found.add((path.name, owner))
+    return found
+
+
+def names(node):
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.FunctionDef):
+        return {node.name}
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_dense_bareiss_serves_only_matrices_from_no_graph():
+    assert owners(lambda node: "bareiss_determinant" in names(node)) == {
+        ("backend.py", "bareiss_determinant"),
+        ("linalg.py", "<module>"),
+        ("linalg.py", "determinant"),
+        ("linalg.py", "cyclotomic_resultants"),
+    }
+
+
+def test_the_replay_calls_no_other_kernel():
+    path = PACKAGE / "backend.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    replay = next(
+        stmt
+        for stmt in tree.body
+        if getattr(stmt, "name", None) == "replay_determinant"
+    )
+    called = {
+        name
+        for node in ast.walk(replay)
+        if isinstance(node, ast.Call)
+        for name in names(node.func)
+    }
+    assert called
+    assert called <= set(dir(builtins))
+
+
+def entry_writes(node):
+    """Assignments to an entry m[i][j] of a list of rows."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AugAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        t
+        for t in targets
+        if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Subscript)
+    ]
+
+
+def counts_one(node):
+    return (
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.value, ast.Constant)
+        and node.value.value == 1
+    )
+
+
+def test_one_builder_writes_a_graph_matrix():
+    # besides M(k), only the edge counters write matrix entries, one edge
+    # at a time; a Laplacian or node-matrix builder anywhere else fails here
+    assert owners(lambda node: entry_writes(node) and not counts_one(node)) == {
+        ("linalg.py", "_cleared_matrix")
+    }
+    assert owners(entry_writes) == {
+        ("linalg.py", "_cleared_matrix"),
+        ("graph.py", "adjacency_matrix"),
+        ("generators.py", "_UndirectedView"),
+    }
