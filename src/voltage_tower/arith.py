@@ -34,14 +34,27 @@ def require_int(name, value, low=None, high=None, error=ValueError) -> None:
 def check_cap(message: str, count: int, cap: int, p: int = 2, n: int = 0) -> None:
     """The one size check: TooLargeError when count * p^n exceeds ``cap``,
     decided without forming p^n for a huge n (p >= 2).  The error reads
-    ``message`` formatted with ``count``, ``p``, ``n`` and ``cap``."""
+    ``message`` formatted with ``count``, ``p``, ``n`` and ``cap``; a
+    count or n with too many digits to print is stated by its bit
+    length."""
     total = count
     for _ in range(n):
         if total == 0 or total > cap:
             break
         total *= p
     if total > cap:
-        raise TooLargeError(message.format(count=count, p=p, n=n, cap=cap))
+        raise TooLargeError(
+            message.format(count=_stated(count), p=p, n=_stated(n), cap=cap)
+        )
+
+
+def _stated(value: int) -> str:
+    # str() refuses an int past sys.get_int_max_str_digits(), so such a
+    # value is stated by its size
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit int>"
 
 
 def valuation(n: int, p: int) -> int:

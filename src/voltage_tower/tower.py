@@ -63,11 +63,11 @@ DERIVED_VERTEX_CAP = 100_000
 # at the vertex cap.  A one-vertex base with many loops stays within the
 # vertex cap at any level, so its edges need a cap of their own.
 DERIVED_EDGE_CAP = 500_000
-# Base vertices r of a characteristic polynomial, r + 1 r x r determinants:
-# on random graphs, 0.38 s at r = 64 with 128 edges and 5.0 s with 4,000
-# edges; at r = 96, 2.1 s with 192 edges and 38 s with 4,000 (best of 3,
-# one run at r = 96 with 4,000 edges; 2-vCPU VM, Python 3.11).  Dense graphs
-# leave Bareiss no zero multiplier to skip, so they set the cap.
+# Base vertices r of a characteristic polynomial, r + 1 replays of one
+# elimination schedule on r x r matrices: at r = 64, 0.35 s for a random
+# graph with 128 edges and 2.9 s for the complete digraph, whose scheduled
+# fill is 85,344 entries against 4,198 (2-vCPU VM, Python 3.11).  The cost
+# follows the fill, so dense graphs set the cap.
 CHARPOLY_VERTEX_CAP = 64
 
 
@@ -88,7 +88,8 @@ def derive(
 ) -> DerivedGraph:
     """Derived graph of the constant assignment modulo p^n.
 
-    Level 0 wraps the base graph unchanged.  Past DERIVED_VERTEX_CAP
+    Level 0 wraps the base graph unchanged, and a base with no vertices
+    gives an empty graph at any level.  Past DERIVED_VERTEX_CAP
     vertices or DERIVED_EDGE_CAP edges, TooLargeError is raised before
     anything is built.  Undirected images and a level that is not a
     non-negative int (a bool is not one) raise ValueError.
@@ -98,6 +99,10 @@ def derive(
     check_derived_size(base.vertex_count, voltage.p, n)
     if n == 0:
         return DerivedGraph(base, base.vertex_count, 0)
+    name = f"derive({base.name},p={voltage.p},n={n})"
+    if base.vertex_count == 0:
+        # every sheet is empty: p^n is never formed
+        return DerivedGraph(DirectedMultigraph(0, (), (), name), 0, n)
     check_cap(
         "{count} * {p}^{n} derived edges exceed the cap of {cap}",
         len(base.edges),
@@ -115,12 +120,7 @@ def derive(
     labels = tuple(
         f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
     )
-    g = DirectedMultigraph(
-        modulus * nv,
-        tuple(edges),
-        labels,
-        f"derive({base.name},p={voltage.p},n={n})",
-    )
+    g = DirectedMultigraph(modulus * nv, tuple(edges), labels, name)
     return DerivedGraph(g, nv, n)
 
 

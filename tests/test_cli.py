@@ -754,6 +754,24 @@ def test_an_empty_graph_exits_2(tmp_path, capsys):
         assert err == "error: graph has no vertices\n"
 
 
+def test_derive_on_an_empty_base_builds_nothing(tmp_path, capsys):
+    # p^n sheets of no vertex: p^n is never formed, so level 10^9 returns
+    # as level 1 does, and level 1 keeps its bytes
+    src = tmp_path / "empty.json"
+    write_graph(DirectedMultigraph(0, (), name="empty"), str(src))
+    for p, level in ((2, 1), (3, 10**9)):
+        argv = ["derive", "-i", str(src), "--p", str(p), "--level", str(level)]
+        code, stdout, err = run(argv, capsys)
+        assert code == 0, argv
+        assert err == ""
+        assert stdout == (
+            '{\n  "schema": "voltage-tower/graph-v1",\n'
+            f'  "name": "derive(empty,p={p},n={level})",\n'
+            '  "directed": true,\n  "vertex_count": 0,\n  "edges": [],\n'
+            '  "labels": []\n}\n'
+        )
+
+
 def test_a_failed_identity_exits_1_as_an_internal_error(
     tmp_path, capsys, monkeypatch
 ):

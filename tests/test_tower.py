@@ -23,6 +23,7 @@ from voltage_tower import (
     tower_component,
     underlying_undirected,
 )
+from voltage_tower.arith import require_prime
 from voltage_tower.documents import read_graph, write_graph
 from voltage_tower.graph import components
 from voltage_tower.tower import (
@@ -230,6 +231,19 @@ def test_derived_size_cap():
         check_derived_size(3, 2, 10**18)  # refused without computing 2^n
     with pytest.raises(TooLargeError):
         derive(directed_cycle(3), ConstantVoltage(2), 40)
+
+
+def test_require_prime_states_a_huge_p_by_its_bit_length():
+    # 10^5000 has more digits than str() will print
+    with pytest.raises(TooLargeError, match="^p = <16610-bit int> exceeds"):
+        require_prime(10**5000)
+
+
+def test_derive_states_a_huge_level_by_its_bit_length():
+    with pytest.raises(
+        TooLargeError, match=r"^3 \* 2\^<16610-bit int> derived vertices"
+    ):
+        derive(directed_cycle(3), ConstantVoltage(2), 10**5000)
 
 
 def test_derived_edge_cap():
