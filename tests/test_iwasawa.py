@@ -194,6 +194,25 @@ def test_char_poly_rejects_a_half_that_is_not_integral(monkeypatch):
         char_poly(directed_cycle(3))
 
 
+def spy_on_the_nodes(monkeypatch):
+    """(ks, dets), filled as char_poly runs: each k it builds M(k) for,
+    the schedule's M(1) first, and each replay's result, None for a
+    skipped node."""
+    ks, dets = [], []
+
+    def spied_matrix(g, k, real=linalg._cleared_matrix):
+        ks.append(k)
+        return real(g, k)
+
+    def spied_replay(schedule, m):
+        dets.append(replay_determinant(schedule, m))
+        return dets[-1]
+
+    monkeypatch.setattr(iwasawa, "_cleared_matrix", spied_matrix)
+    monkeypatch.setattr(iwasawa, "replay_determinant", spied_replay)
+    return ks, dets
+
+
 @pytest.mark.parametrize(
     "offset, error, match",
     [
@@ -212,18 +231,7 @@ def test_char_poly_rejects_one_corrupted_evaluation(
     # the interpolation nodes are z = (k^2 + 1) L/k with L = lcm |k|
     for g in corpus:
         r = g.vertex_count
-        ks, dets = [], []
-
-        def spied_matrix(g, k, real=linalg._cleared_matrix):
-            ks.append(k)
-            return real(g, k)
-
-        def spied_replay(schedule, m):
-            dets.append(replay_determinant(schedule, m))
-            return dets[-1]
-
-        monkeypatch.setattr(iwasawa, "_cleared_matrix", spied_matrix)
-        monkeypatch.setattr(iwasawa, "replay_determinant", spied_replay)
+        ks, dets = spy_on_the_nodes(monkeypatch)
         char_poly(g)
         monkeypatch.undo()
         # ks[0] = 1 is the schedule's matrix; a skipped node gives None
@@ -254,21 +262,11 @@ def test_char_poly_skips_a_node_with_a_zero_pivot(monkeypatch):
     # so k = 2 is skipped and P(T) comes from k = -1, -2, 3, -3
     g = DirectedMultigraph(3, ((0, 0), (0, 0), (0, 1), (1, 2), (2, 1)))
     expected = charpoly_2r_plus_1(g)
-    ks, dets = [], []
-
-    def spied_matrix(g, k, real=linalg._cleared_matrix):
-        ks.append(k)
-        return real(g, k)
-
-    def spied_replay(schedule, m):
-        dets.append(replay_determinant(schedule, m))
-        return dets[-1]
+    ks, dets = spy_on_the_nodes(monkeypatch)
 
     def no_bareiss(rows):
         raise AssertionError("a graph determinant went to dense Bareiss")
 
-    monkeypatch.setattr(iwasawa, "_cleared_matrix", spied_matrix)
-    monkeypatch.setattr(iwasawa, "replay_determinant", spied_replay)
     monkeypatch.setattr(backend, "bareiss_determinant", no_bareiss)
     assert char_poly(g) == expected
     assert ks == [1, -1, 2, -2, 3, -3]
