@@ -5,13 +5,13 @@ Step k of Bareiss elimination replaces every row i below the pivot by
 minor of the input, so every division is exact.
 
 ``replay_determinant`` serves every graph determinant: the charpoly's r + 1
-evaluations of M(k) = Dk - Ak^2 - A^t and the Kirchhoff minor of M(1).
-``elimination_schedule`` works out an elimination order and its fill once,
-as a schedule, and the replay visits only the scheduled rows and columns,
-with lazy divisors for the rows a pivot leaves alone.  On a zero pivot with
-rows left to update it returns None, and calls no other kernel.
-``bareiss_determinant``, with row swaps, serves the dense matrices that come
-from no graph: the resultant matrices and ``linalg.determinant``.
+evaluations of M(k) = Dk - Ak^2 - A^t and the Kirchhoff count of M(1).  It
+follows a ``Schedule``, an elimination order and its fill planned once per
+graph by ``linalg.elimination_schedule``, visits only the scheduled rows
+and columns, with lazy divisors for the rows a pivot leaves alone, and on
+a zero pivot with rows left to update returns None.  ``bareiss_determinant``,
+with row swaps, serves the matrices that come from no graph: the resultant
+matrices and ``linalg.determinant``.
 """
 
 from __future__ import annotations
@@ -56,41 +56,10 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def elimination_schedule(rows: list[list[int]]) -> Schedule:
-    """Greedy minimum-degree elimination of the off-diagonal pattern of
-    ``rows``, made symmetric ((i, j) with rows[i][j] or rows[j][i] nonzero),
-    ties broken by the least vertex, as the schedule that
-    ``replay_determinant`` follows.
-
-    Eliminating a vertex joins its remaining neighbours, as elimination
-    fills them in; taking the least-connected vertex first keeps that fill,
-    and so the rows and columns each step touches, small.  One step
-    (v, cols, updates) per vertex in order: v's remaining columns, itself
-    included, and each remaining neighbour u with its columns after the
-    fill, itself included.
-    """
-    r = len(rows)
-    nbrs = [
-        {j for j in range(r) if j != i and (rows[i][j] or rows[j][i])}
-        for i in range(r)
-    ]
-    left = set(range(r))
-    schedule = []
-    while left:
-        v = min(left, key=lambda u: (len(nbrs[u]), u))
-        left.remove(v)
-        updates = []
-        for u in sorted(nbrs[v]):
-            nbrs[u] |= nbrs[v]
-            nbrs[u] -= {u, v}
-            updates.append((u, sorted(nbrs[u] | {u})))
-        schedule.append((v, sorted(nbrs[v] | {v}), updates))
-    return schedule
-
-
 def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int | None:
     """Exact determinant by fraction-free elimination along a schedule
-    worked out on the sparsity pattern of ``rows``.
+    worked out on the sparsity pattern of ``rows``; a schedule cut short
+    gives the leading principal minor of its length, in schedule order.
 
     One step (v, cols, updates) per row, in elimination order: row v is
     the pivot, ``cols`` are its columns not yet eliminated, v included,
@@ -110,8 +79,9 @@ def replay_determinant(schedule: Schedule, rows: list[list[int]]) -> int | None:
     factor prev / div[v] before it is used.  Each pivot is a leading
     principal minor in schedule order.  One that is zero with rows left to
     update makes the order unusable, and the result is None; one with none
-    left sits on a zero row of the remaining block, so the determinant is
-    0.  The input is not modified.
+    left sits on a zero row of the remaining block, so every leading
+    minor from there on, and the result, is 0.  The input is not
+    modified.
     """
     m = [list(r) for r in rows]
     div = [1] * len(m)

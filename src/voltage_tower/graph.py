@@ -191,12 +191,10 @@ def subgraph(g: DirectedMultigraph, vertices: Sequence[int]) -> DirectedMultigra
     )
 
 
-def cycle_weight_profile(
-    g: DirectedMultigraph, root: int = 0
-) -> CycleWeightProfile:
+def cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
     """Cycle-weight lattice of the doubled graph via fundamental cycles.
 
-    Builds a BFS spanning tree of the undirected image from ``root``,
+    Builds a BFS spanning tree of the undirected image from vertex 0,
     assigns each vertex the signed weight of its tree path (forward
     traversal of an edge counts +1, backward -1), and takes the gcd of the
     fundamental cycle weights theta(u) + 1 - theta(w) of the non-tree
@@ -216,8 +214,8 @@ def cycle_weight_profile(
     theta = [0] * n
     in_tree = [False] * len(g.edges)
     visited = [False] * n
-    visited[root] = True
-    queue = deque([root])
+    visited[0] = True
+    queue = deque([0])
     while queue:
         v = queue.popleft()
         for edge_idx, w, sign in incidence[v]:

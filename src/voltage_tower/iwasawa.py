@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import check_cap, require_int, require_prime, valuation
-from .backend import elimination_schedule, replay_determinant
+from .backend import replay_determinant
 from .errors import NotConnectedError, StructureViolationError, ZeroPolynomialError
 from .graph import (
     DirectedMultigraph,
@@ -37,7 +37,8 @@ from .graph import (
     require_orientation,
 )
 from .linalg import (
-    _cleared_matrix, _interpolate_integer, cyclotomic_resultants, kirchhoff_count
+    _cleared_matrix, _interpolate_integer, cyclotomic_resultants,
+    elimination_schedule, kirchhoff_count,
 )
 from .polynomial import IntPolynomial
 from .tower import CHARPOLY_VERTEX_CAP, check_derived_size, require_tower
@@ -95,13 +96,14 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     lcm of the |k|, S_L(z) = L^r S(z / L) has integer coefficients s_j
     L^(r-j) and takes the integer value (L/k)^r Q(k) at the integer node
     z = (k^2 + 1) L/k, so integer Newton interpolation recovers it and
-    exact divisions give the s_j.  Each M(k) has the off-diagonal pattern
-    of the Laplacian M(1), so one schedule, planned on M(1), is replayed on
-    all of them.  A k whose replay meets a zero pivot is skipped for the
-    next, and L is the lcm of the k used.  A pivot of order j < r is a
-    leading minor, of degree <= 2j in k and positive at k = 1 (a proper
-    minor of a connected Laplacian), so at most r(r - 1) nodes fail and
-    r^2 + 1 candidates always leave r + 1.
+    exact divisions give the s_j.  Each M(k), k != 0, has the off-diagonal
+    pattern of g's non-loop edges taken both ways, so one schedule,
+    planned on the edge list, is replayed on all of them.  A k whose
+    replay meets a zero pivot is skipped for the next, and L is the lcm of
+    the k used.  A pivot of order j < r is a leading minor, of degree
+    <= 2j in k and positive at k = 1 (a proper minor of a connected
+    Laplacian), so at most r(r - 1) nodes fail and r^2 + 1 candidates
+    always leave r + 1.
 
     Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
     out at least a double root: T^2 divides P(T), checked here.  Undirected
@@ -117,7 +119,7 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     )
     if not is_connected(g):
         raise NotConnectedError("characteristic polynomial needs a connected graph")
-    schedule = elimination_schedule(_cleared_matrix(g, 1))
+    schedule = elimination_schedule(g)
     nodes = []
     # k = -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
     for i in range(1, r * r + 2):

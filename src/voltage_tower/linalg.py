@@ -1,8 +1,9 @@
 """Exact big-integer linear algebra.
 
 Everything here is exact: determinants by fraction-free elimination,
-the graph matrices M(k) = Dk - Ak^2 - A^t, spanning-tree counts through
-the Laplacian M(1), integer Newton interpolation at integer nodes, and
+the graph matrices M(k) = Dk - Ak^2 - A^t and their one elimination plan,
+both read off the edge list, spanning-tree counts as a pivot of the
+Laplacian M(1), integer Newton interpolation at integer nodes, and
 resultants of an integer polynomial against the cyclotomic polynomials
 Phi_{p^k} by root powering: one Newton-identity step and one
 (p-1) x (p-1) determinant per k.  No floating point anywhere; p-adic valuations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .arith import check_cap, require_int, require_prime
-from .backend import bareiss_determinant, elimination_schedule, replay_determinant
+from .backend import Schedule, bareiss_determinant, replay_determinant
 from .errors import (
     NonIntegralInterpolationError,
     NotConnectedError,
@@ -85,25 +86,50 @@ def _cleared_matrix(g: DirectedMultigraph, k: int) -> list[list[int]]:
     return m
 
 
+def elimination_schedule(g: DirectedMultigraph) -> Schedule:
+    """Greedy minimum-degree elimination of the undirected image of ``g``,
+    loops dropped, ties broken by the least vertex, as the schedule that
+    ``replay_determinant`` follows on every M(k), k != 0.  A vertex's
+    neighbours are the far ends of its non-loop edges, both ways: the
+    off-diagonal pattern of M(k), whose entry -k^2 a_st - a_ts adds terms
+    of one sign and never cancels.  Eliminating a vertex joins its
+    remaining neighbours, as elimination fills them in; taking the
+    least-connected vertex first keeps that fill small."""
+    nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for s, t in g.edges:
+        if s != t:
+            nbrs[s].add(t)
+            nbrs[t].add(s)
+    left = set(range(g.vertex_count))
+    schedule = []
+    while left:
+        v = min(left, key=lambda u: (len(nbrs[u]), u))
+        left.remove(v)
+        updates = []
+        for u in sorted(nbrs[v]):
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+            updates.append((u, sorted(nbrs[u] | {u})))
+        schedule.append((v, sorted(nbrs[v] | {v}), updates))
+    return schedule
+
+
 def kirchhoff_count(
     g: DirectedMultigraph, row: int = 0, col: int = 0
 ) -> int:
     """Number of spanning trees of the undirected image via the
-    matrix-tree theorem: the replayed principal minor of the Laplacian
-    M(1) without ``row``.  It is positive definite, so a zero pivot or a
-    count below 1 raises StructureViolationError.  ``row`` that is not an
-    int in range(vertex_count) (a bool is not one), or ``col`` other than
-    ``row``, raises ValueError."""
+    matrix-tree theorem: the last-but-one pivot of the Laplacian M(1) on
+    the graph's schedule, a principal cofactor; all of them are equal, so
+    ``row`` selects nothing.  The minor is positive definite, so a zero
+    pivot or a count below 1 raises StructureViolationError.  ``row`` that
+    is not an int in range(vertex_count) (a bool is not one), or ``col``
+    other than ``row``, raises ValueError."""
     require_int("row", row, 0, g.vertex_count)
     require_int("col", col, row, row + 1)
     if not is_connected(g):
         raise NotConnectedError("spanning trees need a connected graph")
-    minor = [
-        [x for j, x in enumerate(r) if j != row]
-        for i, r in enumerate(_cleared_matrix(g, 1))
-        if i != row
-    ]
-    count = replay_determinant(elimination_schedule(minor), minor)
+    schedule = elimination_schedule(g)[:-1]
+    count = replay_determinant(schedule, _cleared_matrix(g, 1))
     if count is None or count < 1:
         raise StructureViolationError("spanning-tree count must be positive")
     return count

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import check_cap, require_int, require_prime, valuation
+from .arith import _stated, check_cap, require_int, require_prime, valuation
 from .errors import NoTowerError, NotAUnitError, StructureViolationError
 from .graph import (
     CycleWeightProfile,
@@ -99,7 +99,7 @@ def derive(
     check_derived_size(base.vertex_count, voltage.p, n)
     if n == 0:
         return DerivedGraph(base, base.vertex_count, 0)
-    name = f"derive({base.name},p={voltage.p},n={n})"
+    name = f"derive({base.name},p={voltage.p},n={_stated(n)})"
     if base.vertex_count == 0:
         # every sheet is empty: p^n is never formed
         return DerivedGraph(DirectedMultigraph(0, (), (), name), 0, n)

@@ -75,6 +75,30 @@ def dense_bareiss(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def matrix_pattern_schedule(rows):
+    """Greedy minimum-degree elimination of the off-diagonal pattern of a
+    matrix, made symmetric ((i, j) with rows[i][j] or rows[j][i] nonzero),
+    ties broken by the least vertex: the planner that scanned the dense
+    matrix, kept as the reference for the one that reads the edge list."""
+    r = len(rows)
+    nbrs = [
+        {j for j in range(r) if j != i and (rows[i][j] or rows[j][i])}
+        for i in range(r)
+    ]
+    left = set(range(r))
+    schedule = []
+    while left:
+        v = min(left, key=lambda u: (len(nbrs[u]), u))
+        left.remove(v)
+        updates = []
+        for u in sorted(nbrs[v]):
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+            updates.append((u, sorted(nbrs[u] | {u})))
+        schedule.append((v, sorted(nbrs[v] | {v}), updates))
+    return schedule
+
+
 def loop_valuation(n: int, p: int) -> int:
     """v_p(n) of a nonzero integer, one division by p at a time."""
     n = abs(n)

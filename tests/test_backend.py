@@ -1,11 +1,9 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voltage_tower.backend import (
-    bareiss_determinant,
-    elimination_schedule,
-    replay_determinant,
-)
+from voltage_tower import DirectedMultigraph
+from voltage_tower.backend import bareiss_determinant, replay_determinant
+from voltage_tower.linalg import elimination_schedule
 
 from oracles import dense_bareiss, fraction_determinant
 
@@ -75,57 +73,68 @@ def test_sparse_kernel_matches_dense_and_rational_elimination(rows):
 
 @st.composite
 def patterned_matrices(draw):
-    """A 0-1 matrix adj of size 0 to 10 and a matrix whose entries off
-    the diagonal and off the pattern of adj + adj^t are zero.  The others
-    are zero, small or have 30 or more digits, so numerically zero
-    pivots and cancelled fill are common."""
+    """Edges of a multigraph on 0 to 10 vertices, loops and parallel edges
+    allowed; a matrix whose entries off the diagonal and off the non-loop
+    edges, taken both ways, are zero; and a schedule length, mostly the
+    vertex count.  The other entries are zero, small or have 30 or more
+    digits, so numerically zero pivots and cancelled fill are common."""
     n = draw(st.integers(min_value=0, max_value=10))
-    adj = [[0] * n for _ in range(n)]
+    edges = []
     if n:
         index = st.integers(0, n - 1)
-        for i, j in draw(st.sets(st.tuples(index, index), max_size=2 * n)):
-            adj[i][j] = 1
+        edges = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    linked = set(edges) | {(t, s) for s, t in edges}
     entry = st.just(0) | NONZERO
     rows = [
-        [draw(entry) if i == j or adj[i][j] or adj[j][i] else 0 for j in range(n)]
+        [draw(entry) if i == j or (i, j) in linked else 0 for j in range(n)]
         for i in range(n)
     ]
-    return adj, rows
+    length = draw(st.just(n) | st.integers(0, n))
+    return tuple(edges), rows, length
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=patterned_matrices())
 # a zero first pivot with a row left to update: no determinant
-@example(case=([[0, 1], [0, 0]], [[0, 2], [3, 1]]))
+@example(case=(((0, 1),), [[0, 2], [3, 1]], 2))
 # vertex 0 has no neighbour and a zero pivot, so its row is zero
-@example(case=([[0, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [0, 1, 2], [0, 3, 4]]))
+@example(case=(((1, 2),), [[0, 0, 0], [0, 1, 2], [0, 3, 4]], 3))
 # two blocks: row 2, untouched by the first, is brought up to date by
 # the factor prev / div[2] before it serves as the pivot of the second
 @example(
     case=(
-        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+        ((0, 1), (2, 3)),
         [[2, 3, 0, 0], [5, 7, 0, 0], [0, 0, 11, 13], [0, 0, 17, 19]],
+        4,
     )
 )
 # diagonal: the last row is never updated and owes the final scaling
-@example(case=([[0, 0], [0, 0]], [[2, 0], [0, 3]]))
+@example(case=((), [[2, 0], [0, 3]], 2))
+# a triangle's Laplacian, cut one step short: the leading minor of order
+# 2 counts its 3 spanning trees
+@example(
+    case=(((0, 1), (1, 2), (2, 0)), [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 2)
+)
 def test_replay_of_the_minimum_degree_schedule_matches_dense_elimination(case):
-    adj, rows = case
+    edges, rows, length = case
     snapshot = [r[:] for r in rows]
-    schedule = elimination_schedule(adj)
-    det = replay_determinant(schedule, rows)
+    schedule = elimination_schedule(DirectedMultigraph(len(rows), edges))
+    det = replay_determinant(schedule[:length], rows)
     assert rows == snapshot
     # the pivot of step j is the leading principal minor of order j in
     # schedule order; the first zero one decides: None while it has rows
-    # to update, else a zero row and the determinant 0
+    # to update, else a zero row, so every later leading minor is 0 too
     order = [v for v, _, _ in schedule]
-    for j, (_, _, updates) in enumerate(schedule, 1):
-        lead = order[:j]
-        if dense_bareiss([[rows[a][b] for b in lead] for a in lead]) == 0:
+
+    def lead(j):
+        return dense_bareiss([[rows[a][b] for b in order[:j]] for a in order[:j]])
+
+    for j, (_, _, updates) in enumerate(schedule[:length], 1):
+        if lead(j) == 0:
             if updates:
                 assert det is None
             else:
-                assert det == 0 == dense_bareiss(rows)
+                assert det == 0 == lead(length)
             break
     else:
-        assert det == dense_bareiss(rows)
+        assert det == lead(length)

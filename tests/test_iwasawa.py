@@ -38,12 +38,8 @@ from voltage_tower import (
 )
 from voltage_tower import backend, iwasawa, linalg
 from voltage_tower.arith import PRIME_CAP, require_prime, valuation
-from voltage_tower.backend import (
-    bareiss_determinant,
-    elimination_schedule,
-    replay_determinant,
-)
-from voltage_tower.linalg import _cleared_matrix
+from voltage_tower.backend import bareiss_determinant, replay_determinant
+from voltage_tower.linalg import _cleared_matrix, elimination_schedule
 from voltage_tower.tower import CHARPOLY_VERTEX_CAP
 
 from oracles import (
@@ -165,11 +161,10 @@ def test_char_poly_is_invariant_under_relabeling(g, data):
         r, tuple((perm[s], perm[t]) for s, t in g.edges)
     )
     assert char_poly(relabeled) == char_poly(g)
-    adj = adjacency_matrix(g)
-    schedule = elimination_schedule(adj)
+    schedule = elimination_schedule(g)
     order = [v for v, _, _ in schedule]
     assert sorted(order) == list(range(r))
-    assert elimination_schedule(adj) == schedule
+    assert elimination_schedule(g) == schedule
 
 
 def test_char_poly_rejects_a_linear_term(monkeypatch):
@@ -195,9 +190,8 @@ def test_char_poly_rejects_a_half_that_is_not_integral(monkeypatch):
 
 
 def spy_on_the_nodes(monkeypatch):
-    """(ks, dets), filled as char_poly runs: each k it builds M(k) for,
-    the schedule's M(1) first, and each replay's result, None for a
-    skipped node."""
+    """(ks, dets), filled as char_poly runs: each k it builds M(k) for
+    and each replay's result, None for a skipped node."""
     ks, dets = [], []
 
     def spied_matrix(g, k, real=linalg._cleared_matrix):
@@ -234,8 +228,8 @@ def test_char_poly_rejects_one_corrupted_evaluation(
         ks, dets = spy_on_the_nodes(monkeypatch)
         char_poly(g)
         monkeypatch.undo()
-        # ks[0] = 1 is the schedule's matrix; a skipped node gives None
-        used = [k for k, det in zip(ks[1:], dets) if det is not None]
+        # a skipped node gives None
+        used = [k for k, det in zip(ks, dets) if det is not None]
         assert len(used) == r + 1, g.name
         big = math.lcm(*used)
         zs = [(k * k + 1) * (big // k) for k in used]
@@ -269,7 +263,7 @@ def test_char_poly_skips_a_node_with_a_zero_pivot(monkeypatch):
 
     monkeypatch.setattr(backend, "bareiss_determinant", no_bareiss)
     assert char_poly(g) == expected
-    assert ks == [1, -1, 2, -2, 3, -3]
+    assert ks == [-1, 2, -2, 3, -3]
     assert [det is None for det in dets] == [False, True, False, False, False]
 
 

@@ -28,7 +28,12 @@ from voltage_tower import (
 )
 from voltage_tower import linalg
 from voltage_tower.backend import bareiss_determinant
-from voltage_tower.linalg import _cleared_matrix, _interpolate_integer, _root_power
+from voltage_tower.linalg import (
+    _cleared_matrix,
+    _interpolate_integer,
+    _root_power,
+    elimination_schedule,
+)
 
 from oracles import (
     _default_points,
@@ -36,6 +41,7 @@ from oracles import (
     companion_resultants,
     cyclotomic_prime_power,
     dense_bareiss,
+    matrix_pattern_schedule,
     poly_add,
     poly_eval,
     poly_matrix_determinant,
@@ -45,7 +51,7 @@ from oracles import (
     smith_normal_form,
     sylvester_matrix,
 )
-from strategies import connected_multigraphs
+from strategies import connected_multigraphs, looped_multigraphs
 
 
 def random_matrix(rng, n, lo=-9, hi=9):
@@ -174,9 +180,24 @@ def test_kirchhoff_minor_choice_is_free(corpus):
         if n >= 2:
             with pytest.raises(ValueError):
                 kirchhoff_count(g, row=0, col=1)
-            # the (0, 1) cofactor, by the oracle: -det of the minor is kappa
-            minor = [r[:1] + r[2:] for r in _cleared_matrix(g, 1)[1:]]
+            # the (0, 0) and (0, 1) cofactors, by the oracle: the last-but-one
+            # pivot is kappa, and so is +-det of each minor
+            lap = _cleared_matrix(g, 1)
+            assert dense_bareiss([r[1:] for r in lap[1:]]) == base, g.name
+            minor = [r[:1] + r[2:] for r in lap[1:]]
             assert dense_bareiss(minor) == -base, g.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=looped_multigraphs(), undirected=st.booleans())
+def test_the_edge_list_planner_matches_the_matrix_pattern_planner(g, undirected):
+    # an off-diagonal entry -k^2 a_st - a_ts of M(k) adds terms of one
+    # sign, so at every k != 0 its pattern is the non-loop edges both ways
+    if undirected:
+        g = underlying_undirected(g)
+    schedule = elimination_schedule(g)
+    for k in (1, -1, 2, -2):
+        assert schedule == matrix_pattern_schedule(_cleared_matrix(g, k))
 
 
 def test_brute_force_examples():

@@ -1,7 +1,8 @@
 """Every graph determinant goes through ``backend.replay_determinant`` on
-matrices from ``linalg._cleared_matrix``: dense Bareiss serves only the
-matrices that come from no graph, the replay calls no other kernel, and
-no second builder writes a graph matrix."""
+matrices from ``linalg._cleared_matrix``, planned by
+``linalg.elimination_schedule``: dense Bareiss serves only the matrices
+that come from no graph, the replay calls no other kernel, no second
+builder writes a graph matrix, and no second planner reads one."""
 
 import ast
 import builtins
@@ -63,6 +64,29 @@ def test_the_replay_calls_no_other_kernel():
     }
     assert called
     assert called <= set(dir(builtins))
+
+
+def test_one_planner_serves_both_graph_determinants():
+    # defined next to the matrix builder, from the edge list, and called
+    # once per graph by the charpoly and the Kirchhoff count
+    assert owners(
+        lambda node: isinstance(node, ast.FunctionDef)
+        and node.name == "elimination_schedule"
+    ) == {("linalg.py", "elimination_schedule")}
+    assert owners(
+        lambda node: isinstance(node, ast.Call)
+        and "elimination_schedule" in names(node.func)
+    ) == {("linalg.py", "kirchhoff_count"), ("iwasawa.py", "char_poly")}
+
+
+def test_the_backend_imports_nothing_from_the_package():
+    path = PACKAGE / "backend.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
 
 
 def entry_writes(node):

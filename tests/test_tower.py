@@ -246,6 +246,16 @@ def test_derive_states_a_huge_level_by_its_bit_length():
         derive(directed_cycle(3), ConstantVoltage(2), 10**5000)
 
 
+def test_derive_names_an_empty_graph_at_a_huge_level_by_its_bit_length():
+    d = derive(DirectedMultigraph(0, ()), ConstantVoltage(2), 10**5000)
+    assert d.graph == DirectedMultigraph(
+        0, (), (), "derive(graph,p=2,n=<16610-bit int>)"
+    )
+    assert (d.base_vertex_count, d.level) == (0, 10**5000)
+    d = derive(DirectedMultigraph(0, ()), ConstantVoltage(3), 7)
+    assert d.graph.name == "derive(graph,p=3,n=7)"
+
+
 def test_derived_edge_cap():
     # the largest benchmark derive, 3 loops at p = 7, level 5: 50,421 edges
     assert len(derive(bouquet(3), ConstantVoltage(7), 5).graph.edges) == 50_421
