@@ -6,20 +6,20 @@ augmented volcano has a double crater, a cycle with every edge doubled.
 One recognizer reads both: it peels leaves down to the crater, then
 checks crater degree l+1+extra (extra 0 for a volcano, 2 for an
 augmented volcano), inner degree l+1 and one parent per vertex below
-the crater.  Degree bookkeeping here counts loops with multiplicity one;
-that convention is local to shape validation and never leaks into
-Laplacians.
+the crater.  Degree bookkeeping reads the undirected image's adjacency
+from ``graph.neighbours`` and its loops from ``degree_profile``, and
+counts a loop once; that convention is local to shape validation and
+never leaks into Laplacians.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .arith import check_cap, require_int
 from .errors import InvalidSpecError, NotConnectedError
-from .graph import DirectedMultigraph, is_connected
+from .graph import DirectedMultigraph, degree_profile, is_connected, neighbours
 from .tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
 
 CRATER_CYCLE = "cycle"
@@ -226,27 +226,8 @@ class AugmentedVolcanoShape:
     crater_length: int
 
 
-class _UndirectedView:
-    """Multiplicity-aware undirected view used by the recognizers."""
-
-    def __init__(self, g: DirectedMultigraph):
-        self.n = g.vertex_count
-        self.loops = [0] * self.n
-        self.neighbors: list[Counter] = [Counter() for _ in range(self.n)]
-        for s, t in g.edges:
-            if s == t:
-                self.loops[s] += 1
-            else:
-                self.neighbors[s][t] += 1
-                self.neighbors[t][s] += 1
-
-    def degree(self, v: int) -> int:
-        """Loops counted once."""
-        return sum(self.neighbors[v].values()) + self.loops[v]
-
-
 def _cycle_length(
-    view: _UndirectedView, vertices: set[int], mult: int
+    nbrs: list[dict[int, int]], loops: tuple[int, ...], vertices: set[int], mult: int
 ) -> Optional[int]:
     """Length of the loop-free cycle induced on ``vertices`` whose edges
     all have multiplicity ``mult``, or None; two vertices sharing 2*mult
@@ -256,28 +237,27 @@ def _cycle_length(
     peeled of leaves does; then two inside neighbors at every vertex
     close one cycle through all of them.
     """
-    if len(vertices) < 2 or any(view.loops[v] for v in vertices):
+    if len(vertices) < 2 or any(loops[v] for v in vertices):
         return None
     if len(vertices) == 2:
         u, v = vertices
-        return 2 if view.neighbors[u][v] == 2 * mult else None
+        return 2 if nbrs[u].get(v) == 2 * mult else None
     for v in vertices:
-        inside = [m for w, m in view.neighbors[v].items() if w in vertices]
+        inside = [m for w, m in nbrs[v].items() if w in vertices]
         if inside != [mult, mult]:
             return None
     return len(vertices)
 
 
 def _classify_crater(
-    view: _UndirectedView, vertices: set[int]
+    nbrs: list[dict[int, int]], loops: tuple[int, ...], vertices: set[int]
 ) -> Optional[tuple[str, int]]:
     """(kind, length) of the crater induced on ``vertices``, or None."""
     if len(vertices) == 1:
         (v,) = vertices
         kinds = (CRATER_BARE, CRATER_CYCLE, CRATER_TWO_LOOPS)
-        loops = view.loops[v]
-        return (kinds[loops], 1) if loops < len(kinds) else None
-    length = _cycle_length(view, vertices, 1)
+        return (kinds[loops[v]], 1) if loops[v] < len(kinds) else None
+    length = _cycle_length(nbrs, loops, vertices, 1)
     return None if length is None else (CRATER_CYCLE, length)
 
 
@@ -286,23 +266,25 @@ def _recognize(g: DirectedMultigraph, classify, extra: int):
     whose crater vertices have degree l+1+extra, or None.
 
     Degree-1 loop-free vertices are peeled round by round until
-    ``classify(view, remaining)`` returns the crater; each round is one
-    level, the first the deepest.  Inner vertices have degree l+1 and
+    ``classify(nbrs, loops, remaining)`` returns the crater; each round is
+    one level, the first the deepest.  Inner vertices have degree l+1 and
     leaves degree 1, and edges join adjacent levels only.  l is None at
     depth 0.
     """
     if not is_connected(g):
         raise NotConnectedError("volcano recognition needs a connected graph")
-    view = _UndirectedView(g)
-    remaining = set(range(view.n))
-    degree = [view.degree(v) for v in range(view.n)]
+    nbrs, loops = neighbours(g), degree_profile(g).loop_count
+    # degrees in g, loops once; ``degree`` keeps only the edges still left
+    full = [sum(c.values()) + k for c, k in zip(nbrs, loops)]
+    degree = list(full)
+    remaining = set(range(g.vertex_count))
     levels: list[set[int]] = []
-    while (crater := classify(view, remaining)) is None:
-        leaves = {v for v in remaining if degree[v] == 1 and not view.loops[v]}
+    while (crater := classify(nbrs, loops, remaining)) is None:
+        leaves = {v for v in remaining if degree[v] == 1 and not loops[v]}
         if not leaves:
             return None
         for v in leaves:
-            for w, mult in view.neighbors[v].items():
+            for w, mult in nbrs[v].items():
                 if w in remaining and w not in leaves:
                     degree[w] -= mult
         remaining -= leaves
@@ -317,11 +299,11 @@ def _recognize(g: DirectedMultigraph, classify, extra: int):
     # leaves of one round joined to each other would, with what hangs below
     # them, be a component of their own.  So every vertex below the crater
     # is loop-free with one parent above it, and l >= 1.
-    l = view.degree(min(remaining)) - 1 - extra
+    l = full[min(remaining)] - 1 - extra
     expected = {0: l + 1 + extra, depth: 1}
     for v, lv in level_of.items():
-        if view.degree(v) != expected.get(lv, l + 1) or any(
-            abs(lv - level_of[w]) > 1 for w in view.neighbors[v]
+        if full[v] != expected.get(lv, l + 1) or any(
+            abs(lv - level_of[w]) > 1 for w in nbrs[v]
         ):
             return None
     return l, depth, crater
@@ -341,7 +323,7 @@ def recognize_augmented_volcano(
 ) -> Optional[AugmentedVolcanoShape]:
     """Classify ``g`` as an augmented volcano: a double crater with l-ary
     levels below, crater degree l+3."""
-    found = _recognize(g, lambda view, vs: _cycle_length(view, vs, 2), 2)
+    found = _recognize(g, lambda *args: _cycle_length(*args, 2), 2)
     return None if found is None else AugmentedVolcanoShape(*found)
 
 
@@ -350,7 +332,8 @@ def is_double_crater(g: DirectedMultigraph) -> Optional[int]:
     None when the shape does not match."""
     if not is_connected(g):
         raise NotConnectedError("double-crater check needs a connected graph")
-    return _cycle_length(_UndirectedView(g), set(range(g.vertex_count)), 2)
+    loops = degree_profile(g).loop_count
+    return _cycle_length(neighbours(g), loops, set(range(g.vertex_count)), 2)
 
 
 def is_augmented_volcano(g: DirectedMultigraph) -> bool:

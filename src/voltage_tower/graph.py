@@ -4,7 +4,11 @@ A graph is a dense vertex range ``0..vertex_count-1`` plus an ordered edge
 list; loops and parallel edges are allowed and edge identity is the list
 index.  The doubled graph (every edge plus an implicit reverse partner of
 weight -1) is never materialized: every computation that needs it works
-with the +1/-1 sign convention directly.
+with the +1/-1 sign convention directly.  The undirected image's
+adjacency comes from one builder, :func:`neighbours`, which components,
+the elimination planner and the volcano recognizers read; the cycle
+weights keep a signed incidence of their own, since they need each edge's
+direction.
 """
 
 from __future__ import annotations
@@ -133,21 +137,28 @@ def degree_profile(g: DirectedMultigraph) -> DegreeProfile:
     return DegreeProfile(tuple(ins), tuple(outs), tuple(loops))
 
 
-def _undirected_adjacency(g: DirectedMultigraph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
+def neighbours(g: DirectedMultigraph) -> list[dict[int, int]]:
+    """The one adjacency of the undirected image: for each vertex, the far
+    ends of its non-loop edges, both ways, each with its multiplicity.
+    Loops are left to ``degree_profile(g).loop_count``.  The maps are
+    plain dicts: a Counter's constructor would cost more per vertex than
+    counting a sparse graph's edges."""
+    nbrs: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
     for s, t in g.edges:
         if s != t:
-            adj[s].append(t)
-            adj[t].append(s)
-    return adj
+            nbrs[s].setdefault(t, 0)
+            nbrs[t].setdefault(s, 0)
+            nbrs[s][t] += 1
+            nbrs[t][s] += 1
+    return nbrs
 
 
 def components(g: DirectedMultigraph) -> list[list[int]]:
-    """Connected components of the undirected image, each sorted, ordered
-    by smallest vertex."""
+    """Connected components of the undirected image, read off
+    ``neighbours``, each sorted, ordered by smallest vertex."""
     if g.vertex_count == 0:
         raise EmptyGraphError("graph has no vertices")
-    adj = _undirected_adjacency(g)
+    nbrs = neighbours(g)
     seen = [False] * g.vertex_count
     out: list[list[int]] = []
     for start in range(g.vertex_count):
@@ -158,7 +169,7 @@ def components(g: DirectedMultigraph) -> list[list[int]]:
         comp = [start]
         while queue:
             v = queue.popleft()
-            for w in adj[v]:
+            for w in nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -192,47 +203,43 @@ def subgraph(g: DirectedMultigraph, vertices: Sequence[int]) -> DirectedMultigra
 
 
 def cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
-    """Cycle-weight lattice of the doubled graph via fundamental cycles.
+    """Cycle-weight lattice of the doubled graph, in one BFS from vertex 0.
 
-    Builds a BFS spanning tree of the undirected image from vertex 0,
-    assigns each vertex the signed weight of its tree path (forward
-    traversal of an edge counts +1, backward -1), and takes the gcd of the
-    fundamental cycle weights theta(u) + 1 - theta(w) of the non-tree
-    edges (u, w).  Undirected images raise ValueError.
+    The BFS gives each vertex the signed weight theta of its tree path
+    (forward traversal of an edge counts +1, backward -1) and decides
+    connectivity: a vertex it does not reach raises NotConnectedError,
+    after ValueError for an undirected image and EmptyGraphError for no
+    vertices.  A connected graph is acyclic exactly when it has r - 1
+    edges.  Otherwise the lattice is generated by the fundamental cycle
+    weights theta(u) + 1 - theta(w) of the edges (u, w); a tree edge's is 0,
+    so the gcd runs over every edge.
     """
     require_orientation(g)
-    if not is_connected(g):
-        raise NotConnectedError("cycle weights need a connected graph")
     n = g.vertex_count
-    # vertex -> list of (edge index, other endpoint, sign of traversal)
-    incidence: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for i, (s, t) in enumerate(g.edges):
-        if s == t:
-            continue
-        incidence[s].append((i, t, +1))
-        incidence[t].append((i, s, -1))
-    theta = [0] * n
-    in_tree = [False] * len(g.edges)
-    visited = [False] * n
-    visited[0] = True
+    if n == 0:
+        raise EmptyGraphError("graph has no vertices")
+    # vertex -> list of (other endpoint, sign of traversal)
+    incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, t in g.edges:
+        if s != t:
+            incidence[s].append((t, +1))
+            incidence[t].append((s, -1))
+    theta: list[Optional[int]] = [None] * n
+    theta[0] = 0
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for edge_idx, w, sign in incidence[v]:
-            if not visited[w]:
-                visited[w] = True
-                in_tree[edge_idx] = True
+        for w, sign in incidence[v]:
+            if theta[w] is None:
                 theta[w] = theta[v] + sign
                 queue.append(w)
-    gcd = 0
-    non_tree = 0
-    for i, (u, w) in enumerate(g.edges):
-        if in_tree[i]:
-            continue
-        non_tree += 1
-        gcd = math.gcd(gcd, theta[u] + 1 - theta[w])
-    if non_tree == 0:
+    if None in theta:
+        raise NotConnectedError("cycle weights need a connected graph")
+    if len(g.edges) == n - 1:
         return CycleWeightProfile(CycleWeightProfile.ACYCLIC)
+    gcd = 0
+    for u, w in g.edges:
+        gcd = math.gcd(gcd, theta[u] + 1 - theta[w])
     return CycleWeightProfile(CycleWeightProfile.CYCLIC, gcd)
 
 

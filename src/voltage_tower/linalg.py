@@ -25,7 +25,7 @@ from .errors import (
     StructureViolationError,
     ZeroPolynomialError,
 )
-from .graph import DirectedMultigraph, is_connected
+from .graph import DirectedMultigraph, is_connected, neighbours
 from .polynomial import IntPolynomial
 
 BRUTE_FORCE_EDGE_CAP = 16
@@ -92,14 +92,11 @@ def elimination_schedule(g: DirectedMultigraph) -> Schedule:
     ``replay_determinant`` follows on every M(k), k != 0.  A vertex's
     neighbours are the far ends of its non-loop edges, both ways: the
     off-diagonal pattern of M(k), whose entry -k^2 a_st - a_ts adds terms
-    of one sign and never cancels.  Eliminating a vertex joins its
-    remaining neighbours, as elimination fills them in; taking the
-    least-connected vertex first keeps that fill small."""
-    nbrs: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    for s, t in g.edges:
-        if s != t:
-            nbrs[s].add(t)
-            nbrs[t].add(s)
+    of one sign and never cancels; they are read off ``neighbours``, a
+    set per vertex.  Eliminating a vertex joins its remaining neighbours,
+    as elimination fills them in; taking the least-connected vertex first
+    keeps that fill small."""
+    nbrs = [set(c) for c in neighbours(g)]
     left = set(range(g.vertex_count))
     schedule = []
     while left:
@@ -121,13 +118,15 @@ def kirchhoff_count(
     matrix-tree theorem: the last-but-one pivot of the Laplacian M(1) on
     the graph's schedule, a principal cofactor; all of them are equal, so
     ``row`` selects nothing.  The minor is positive definite, so a zero
-    pivot or a count below 1 raises StructureViolationError.  ``row`` that
-    is not an int in range(vertex_count) (a bool is not one), or ``col``
-    other than ``row``, raises ValueError."""
-    require_int("row", row, 0, g.vertex_count)
-    require_int("col", col, row, row + 1)
+    pivot or a count below 1 raises StructureViolationError.  A graph with
+    no vertices raises EmptyGraphError and a disconnected one
+    NotConnectedError, before the indices are checked: ``row`` that is not
+    an int in range(vertex_count) (a bool is not one), or ``col`` other
+    than ``row``, raises ValueError."""
     if not is_connected(g):
         raise NotConnectedError("spanning trees need a connected graph")
+    require_int("row", row, 0, g.vertex_count)
+    require_int("col", col, row, row + 1)
     schedule = elimination_schedule(g)[:-1]
     count = replay_determinant(schedule, _cleared_matrix(g, 1))
     if count is None or count < 1:

@@ -2,13 +2,14 @@
 against.  These deliberately share no code with the package."""
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from voltage_tower import (
     AugmentedVolcanoShape,
+    CycleWeightProfile,
     DerivedGraph,
     DirectedMultigraph,
     EmptyGraphError,
@@ -155,6 +156,47 @@ def cycle_weight_gcd(g: DirectedMultigraph):
     for w in weights:
         gcd = math.gcd(gcd, w)
     return gcd
+
+
+def tree_cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
+    """Cycle weights by marking a BFS spanning tree: the gcd of the
+    fundamental cycle weights theta(u) + 1 - theta(w) of the non-tree edges
+    only, acyclic when every edge is a tree edge, connectivity by a
+    separate walk.  Undirected images raise ValueError first."""
+    if g.undirected:
+        raise ValueError(
+            f"{g.name} is undirected: a constant voltage assignment needs "
+            "an orientation"
+        )
+    if not is_connected(g):
+        raise NotConnectedError("cycle weights need a connected graph")
+    n = g.vertex_count
+    incidence = [[] for _ in range(n)]
+    for i, (s, t) in enumerate(g.edges):
+        if s != t:
+            incidence[s].append((i, t, +1))
+            incidence[t].append((i, s, -1))
+    theta = [0] * n
+    in_tree = [False] * len(g.edges)
+    visited = [False] * n
+    visited[0] = True
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for edge_idx, w, sign in incidence[v]:
+            if not visited[w]:
+                visited[w] = True
+                in_tree[edge_idx] = True
+                theta[w] = theta[v] + sign
+                queue.append(w)
+    non_tree = [i for i in range(len(g.edges)) if not in_tree[i]]
+    if not non_tree:
+        return CycleWeightProfile(CycleWeightProfile.ACYCLIC)
+    gcd = 0
+    for i in non_tree:
+        u, w = g.edges[i]
+        gcd = math.gcd(gcd, theta[u] + 1 - theta[w])
+    return CycleWeightProfile(CycleWeightProfile.CYCLIC, gcd)
 
 
 def sylvester_matrix(f, g):

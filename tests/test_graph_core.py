@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voltage_tower import (
@@ -21,7 +21,7 @@ from voltage_tower import (
     underlying_undirected,
 )
 
-from oracles import cycle_weight_gcd
+from oracles import cycle_weight_gcd, tree_cycle_weight_profile
 
 
 def test_edge_validation():
@@ -154,6 +154,39 @@ def test_weight_gcd_invariant_under_root_choice(corpus):
                 tuple((swap.get(s, s), swap.get(t, t)) for s, t in g.edges),
             )
             assert cycle_weight_profile(relabeled) == base
+
+
+def outcome(f, g):
+    """What ``f(g)`` returns, or the class and message of what it raises."""
+    try:
+        return f(g)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def any_multigraphs(draw):
+    """Multigraphs on 0 to 9 vertices, loops and parallel edges allowed,
+    connected or not, sometimes as their undirected image."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=14)) if n else []
+    g = DirectedMultigraph(n, tuple(edges))
+    return underlying_undirected(g) if draw(st.booleans()) else g
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=any_multigraphs())
+@example(g=underlying_undirected(DirectedMultigraph(0, ())))
+@example(g=DirectedMultigraph(0, ()))
+@example(g=DirectedMultigraph(3, ((0, 1), (1, 1))))
+def test_one_bfs_matches_the_tree_marking_walk(g):
+    # the gcd over every edge equals the gcd over the non-tree edges, and
+    # the edge count decides acyclicity, with the same errors in the same
+    # order: orientation, no vertices, not connected
+    assert outcome(cycle_weight_profile, g) == outcome(
+        tree_cycle_weight_profile, g
+    )
 
 
 @st.composite

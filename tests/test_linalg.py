@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from voltage_tower import (
     DirectedMultigraph,
+    EmptyGraphError,
     IntMatrix,
     IntPolynomial,
     InvalidPrimeError,
@@ -133,6 +134,15 @@ def test_kirchhoff_examples():
     assert kirchhoff_count(DirectedMultigraph(1, ())) == 1
     with pytest.raises(NotConnectedError):
         kirchhoff_count(DirectedMultigraph(2, ()))
+
+
+def test_kirchhoff_refuses_a_graph_with_no_vertices_before_its_indices():
+    # as char_poly and cycle_weight_profile do: the graph is checked before
+    # the indices, which select nothing
+    with pytest.raises(EmptyGraphError):
+        kirchhoff_count(DirectedMultigraph(0, ()))
+    with pytest.raises(NotConnectedError):
+        kirchhoff_count(DirectedMultigraph(2, ()), 5, 5)
 
 
 def test_kirchhoff_rejects_a_non_positive_count(monkeypatch):

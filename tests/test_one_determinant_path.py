@@ -2,7 +2,8 @@
 matrices from ``linalg._cleared_matrix``, planned by
 ``linalg.elimination_schedule``: dense Bareiss serves only the matrices
 that come from no graph, the replay calls no other kernel, no second
-builder writes a graph matrix, and no second planner reads one."""
+builder writes a graph matrix, no second planner reads one, and one
+builder writes the adjacency of the undirected image."""
 
 import ast
 import builtins
@@ -122,5 +123,38 @@ def test_one_builder_writes_a_graph_matrix():
     assert owners(entry_writes) == {
         ("linalg.py", "_cleared_matrix"),
         ("graph.py", "adjacency_matrix"),
-        ("generators.py", "_UndirectedView"),
+        ("graph.py", "neighbours"),
+    }
+
+
+def per_vertex_map(node):
+    """A list of empty containers, one per vertex: ``[set() for ...]``,
+    ``[[] for ...]`` and the like."""
+    if not isinstance(node, ast.ListComp):
+        return False
+    elt = node.elt
+    if isinstance(elt, (ast.List, ast.Set)):
+        return not elt.elts
+    if isinstance(elt, ast.Dict):
+        return not elt.keys
+    return isinstance(elt, ast.Call) and not elt.args and bool(
+        names(elt.func) & {"set", "list", "dict", "Counter", "defaultdict"}
+    )
+
+
+def test_one_builder_writes_the_undirected_adjacency():
+    # the planner and the recognizers keep no neighbour map of their own;
+    # besides the adjacency, only the cycle weights' signed incidence is
+    # built per vertex, since the potentials need each edge's direction
+    assert owners(per_vertex_map) == {
+        ("graph.py", "neighbours"),
+        ("graph.py", "cycle_weight_profile"),
+    }
+    assert owners(
+        lambda node: isinstance(node, ast.Call) and "neighbours" in names(node.func)
+    ) == {
+        ("graph.py", "components"),
+        ("linalg.py", "elimination_schedule"),
+        ("generators.py", "_recognize"),
+        ("generators.py", "is_double_crater"),
     }
