@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import check_cap, require_int
-from .errors import InvalidSpecError, NotConnectedError
-from .graph import DirectedMultigraph, degree_profile, is_connected, neighbours
+from .errors import InvalidSpecError
+from .graph import DirectedMultigraph, degree_profile, neighbours, require_connected
 from .tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
 
 CRATER_CYCLE = "cycle"
@@ -271,8 +271,7 @@ def _recognize(g: DirectedMultigraph, classify, extra: int):
     leaves degree 1, and edges join adjacent levels only.  l is None at
     depth 0.
     """
-    if not is_connected(g):
-        raise NotConnectedError("volcano recognition needs a connected graph")
+    require_connected(g)
     nbrs, loops = neighbours(g), degree_profile(g).loop_count
     # degrees in g, loops once; ``degree`` keeps only the edges still left
     full = [sum(c.values()) + k for c, k in zip(nbrs, loops)]
@@ -330,8 +329,7 @@ def recognize_augmented_volcano(
 def is_double_crater(g: DirectedMultigraph) -> Optional[int]:
     """Length of ``g`` as a double crater (every cycle edge doubled), or
     None when the shape does not match."""
-    if not is_connected(g):
-        raise NotConnectedError("double-crater check needs a connected graph")
+    require_connected(g)
     loops = degree_profile(g).loop_count
     return _cycle_length(neighbours(g), loops, set(range(g.vertex_count)), 2)
 

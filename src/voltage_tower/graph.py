@@ -4,11 +4,13 @@ A graph is a dense vertex range ``0..vertex_count-1`` plus an ordered edge
 list; loops and parallel edges are allowed and edge identity is the list
 index.  The doubled graph (every edge plus an implicit reverse partner of
 weight -1) is never materialized: every computation that needs it works
-with the +1/-1 sign convention directly.  The undirected image's
-adjacency comes from one builder, :func:`neighbours`, which components,
-the elimination planner and the volcano recognizers read; the cycle
-weights keep a signed incidence of their own, since they need each edge's
-direction.
+with the +1/-1 sign convention directly.  Connectivity has one rule,
+:func:`require_connected`, decided by :func:`components`, a union-find
+over the edge list that builds no adjacency.  The undirected image's
+adjacency comes from one builder, :func:`neighbours`, which only the
+walks that need neighbours read: the elimination planner and the volcano
+recognizers.  The cycle weights keep a signed incidence of their own,
+since they need each edge's direction.
 """
 
 from __future__ import annotations
@@ -125,6 +127,20 @@ def require_orientation(g: DirectedMultigraph) -> None:
         )
 
 
+def require_connected(g: DirectedMultigraph) -> None:
+    """The one connectivity rule: every number this library computes is
+    defined over a connected base.  A graph with no vertices raises
+    EmptyGraphError (from :func:`components`); one whose undirected image
+    has more than one component raises NotConnectedError, naming the
+    graph and its number of components."""
+    count = len(components(g))
+    if count > 1:
+        raise NotConnectedError(
+            f"{g.name} is not connected: its undirected image has "
+            f"{count} components"
+        )
+
+
 def degree_profile(g: DirectedMultigraph) -> DegreeProfile:
     ins = [0] * g.vertex_count
     outs = [0] * g.vertex_count
@@ -154,29 +170,25 @@ def neighbours(g: DirectedMultigraph) -> list[dict[int, int]]:
 
 
 def components(g: DirectedMultigraph) -> list[list[int]]:
-    """Connected components of the undirected image, read off
-    ``neighbours``, each sorted, ordered by smallest vertex."""
+    """Connected components of the undirected image, each sorted, ordered
+    by smallest vertex: a union-find over ``g.edges`` with path halving,
+    so no adjacency is built.  A graph with no vertices raises
+    EmptyGraphError."""
     if g.vertex_count == 0:
         raise EmptyGraphError("graph has no vertices")
-    nbrs = neighbours(g)
-    seen = [False] * g.vertex_count
-    out: list[list[int]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            v = queue.popleft()
-            for w in nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        out.append(comp)
-    return out
+    parent = list(range(g.vertex_count))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for s, t in g.edges:
+        parent[root(t)] = root(s)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.vertex_count):
+        groups.setdefault(root(v), []).append(v)
+    return list(groups.values())
 
 
 def is_connected(g: DirectedMultigraph) -> bool:
@@ -205,19 +217,18 @@ def subgraph(g: DirectedMultigraph, vertices: Sequence[int]) -> DirectedMultigra
 def cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
     """Cycle-weight lattice of the doubled graph, in one BFS from vertex 0.
 
-    The BFS gives each vertex the signed weight theta of its tree path
-    (forward traversal of an edge counts +1, backward -1) and decides
-    connectivity: a vertex it does not reach raises NotConnectedError,
-    after ValueError for an undirected image and EmptyGraphError for no
-    vertices.  A connected graph is acyclic exactly when it has r - 1
-    edges.  Otherwise the lattice is generated by the fundamental cycle
-    weights theta(u) + 1 - theta(w) of the edges (u, w); a tree edge's is 0,
-    so the gcd runs over every edge.
+    An undirected image raises ValueError, then :func:`require_connected`
+    raises EmptyGraphError for no vertices and NotConnectedError for more
+    than one component.  The BFS gives each vertex the signed weight theta
+    of its tree path (forward traversal of an edge counts +1, backward
+    -1).  A connected graph is acyclic exactly when it has r - 1 edges.
+    Otherwise the lattice is generated by the fundamental cycle weights
+    theta(u) + 1 - theta(w) of the edges (u, w); a tree edge's is 0, so
+    the gcd runs over every edge.
     """
     require_orientation(g)
+    require_connected(g)
     n = g.vertex_count
-    if n == 0:
-        raise EmptyGraphError("graph has no vertices")
     # vertex -> list of (other endpoint, sign of traversal)
     incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, t in g.edges:
@@ -233,8 +244,6 @@ def cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
             if theta[w] is None:
                 theta[w] = theta[v] + sign
                 queue.append(w)
-    if None in theta:
-        raise NotConnectedError("cycle weights need a connected graph")
     if len(g.edges) == n - 1:
         return CycleWeightProfile(CycleWeightProfile.ACYCLIC)
     gcd = 0

@@ -26,14 +26,14 @@ from typing import Optional
 
 from .arith import check_cap, require_int, require_prime, valuation
 from .backend import replay_determinant
-from .errors import NotConnectedError, StructureViolationError, ZeroPolynomialError
+from .errors import StructureViolationError, ZeroPolynomialError
 from .graph import (
     DirectedMultigraph,
     cycle_weight_profile,
     degree_profile,
     is_adjacency_normal,
-    is_connected,
     is_total_degree_constant,
+    require_connected,
     require_orientation,
 )
 from .linalg import (
@@ -108,7 +108,9 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
     out at least a double root: T^2 divides P(T), checked here.  Undirected
     images raise ValueError and graphs with more than CHARPOLY_VERTEX_CAP
-    vertices TooLargeError, both first.
+    vertices TooLargeError, both first; then ``graph.require_connected``
+    raises EmptyGraphError or NotConnectedError.  The undirected adjacency
+    is built once, by the planner.
     """
     require_orientation(g)
     r = g.vertex_count
@@ -117,8 +119,7 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
         r,
         CHARPOLY_VERTEX_CAP,
     )
-    if not is_connected(g):
-        raise NotConnectedError("characteristic polynomial needs a connected graph")
+    require_connected(g)
     schedule = elimination_schedule(g)
     nodes = []
     # k = -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
@@ -284,11 +285,12 @@ def check_theorem_hypotheses(g: DirectedMultigraph, p: int) -> TheoremHypotheses
     mu_zero_hyp: constant total degree coprime to p and a normal adjacency
     matrix (forces mu = 0).  balanced_hyp: balanced, a cycle weight coprime
     to p when p = 2, and p does not divide k * kappa where k is the edge
-    count (forces mu = 0, lambda = 1).  Undirected images raise
-    ValueError."""
+    count (forces mu = 0, lambda = 1).  A p that is not prime raises
+    InvalidPrimeError, then an undirected image ValueError, then
+    ``graph.require_connected`` EmptyGraphError or NotConnectedError."""
+    require_prime(p)
     require_orientation(g)
-    if not is_connected(g):
-        raise NotConnectedError("hypothesis checks need a connected graph")
+    require_connected(g)
     prof = degree_profile(g)
     mu_positive = all(
         d_i % p == 0 and d_o % p == 0

@@ -20,12 +20,11 @@ from .arith import check_cap, require_int, require_prime
 from .backend import Schedule, bareiss_determinant, replay_determinant
 from .errors import (
     NonIntegralInterpolationError,
-    NotConnectedError,
     NotSquareError,
     StructureViolationError,
     ZeroPolynomialError,
 )
-from .graph import DirectedMultigraph, is_connected, neighbours
+from .graph import DirectedMultigraph, is_connected, neighbours, require_connected
 from .polynomial import IntPolynomial
 
 BRUTE_FORCE_EDGE_CAP = 16
@@ -118,13 +117,13 @@ def kirchhoff_count(
     matrix-tree theorem: the last-but-one pivot of the Laplacian M(1) on
     the graph's schedule, a principal cofactor; all of them are equal, so
     ``row`` selects nothing.  The minor is positive definite, so a zero
-    pivot or a count below 1 raises StructureViolationError.  A graph with
-    no vertices raises EmptyGraphError and a disconnected one
-    NotConnectedError, before the indices are checked: ``row`` that is not
-    an int in range(vertex_count) (a bool is not one), or ``col`` other
-    than ``row``, raises ValueError."""
-    if not is_connected(g):
-        raise NotConnectedError("spanning trees need a connected graph")
+    pivot or a count below 1 raises StructureViolationError.
+    ``graph.require_connected`` comes first (EmptyGraphError for no
+    vertices, NotConnectedError for more than one component), then the
+    indices: ``row`` that is not an int in range(vertex_count) (a bool is
+    not one), or ``col`` other than ``row``, raises ValueError.  The
+    undirected adjacency is built once, by the planner."""
+    require_connected(g)
     require_int("row", row, 0, g.vertex_count)
     require_int("col", col, row, row + 1)
     schedule = elimination_schedule(g)[:-1]
@@ -135,36 +134,19 @@ def kirchhoff_count(
 
 
 def brute_force_spanning_trees(g: DirectedMultigraph) -> int:
-    """Oracle: count (|V|-1)-subsets of non-loop edges that form a
-    spanning tree, checked with union-find.  Capped at 16 edges."""
+    """Oracle: count the (|V|-1)-subsets of non-loop edges whose graph is
+    connected, that is, the spanning trees.  Capped at 16 edges; a
+    disconnected graph raises as ``graph.require_connected`` does."""
     check_cap(
         "{count} edges exceeds the cap of {cap}", len(g.edges), BRUTE_FORCE_EDGE_CAP
     )
-    if not is_connected(g):
-        raise NotConnectedError("spanning trees need a connected graph")
+    require_connected(g)
     n = g.vertex_count
     non_loop = [(s, t) for s, t in g.edges if s != t]
-    need = n - 1
-    count = 0
-    for subset in itertools.combinations(non_loop, need):
-        parent = list(range(n))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        acyclic = True
-        for s, t in subset:
-            rs, rt = find(s), find(t)
-            if rs == rt:
-                acyclic = False
-                break
-            parent[rs] = rt
-        if acyclic:
-            count += 1
-    return count
+    return sum(
+        is_connected(DirectedMultigraph(n, subset))
+        for subset in itertools.combinations(non_loop, n - 1)
+    )
 
 
 def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:

@@ -19,8 +19,6 @@ from voltage_tower import (
     NotConnectedError,
     NotSquareError,
     VolcanoShape,
-    components,
-    is_connected,
 )
 from voltage_tower.generators import (
     CRATER_BARE,
@@ -168,8 +166,7 @@ def tree_cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
             f"{g.name} is undirected: a constant voltage assignment needs "
             "an orientation"
         )
-    if not is_connected(g):
-        raise NotConnectedError("cycle weights need a connected graph")
+    require_bfs_connected(g)
     n = g.vertex_count
     incidence = [[] for _ in range(n)]
     for i, (s, t) in enumerate(g.edges):
@@ -337,10 +334,47 @@ def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
     return DerivedGraph(renamed, d.base_vertex_count, d.level)
 
 
-def component_count(g: DirectedMultigraph) -> int:
+def bfs_components(g: DirectedMultigraph) -> list[list[int]]:
+    """Connected components of the undirected image by breadth-first
+    search over an adjacency list read off ``g.edges``, each sorted,
+    ordered by smallest vertex."""
     if g.vertex_count == 0:
         raise EmptyGraphError("graph has no vertices")
-    return len(components(g))
+    adjacency = [[] for _ in range(g.vertex_count)]
+    for s, t in g.edges:
+        adjacency[s].append(t)
+        adjacency[t].append(s)
+    seen = [False] * g.vertex_count
+    out = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        comp = [start]
+        while queue:
+            for w in adjacency[queue.popleft()]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        out.append(sorted(comp))
+    return out
+
+
+def require_bfs_connected(g: DirectedMultigraph) -> None:
+    """The connectivity rule's errors and messages, decided by
+    ``bfs_components``."""
+    count = len(bfs_components(g))
+    if count > 1:
+        raise NotConnectedError(
+            f"{g.name} is not connected: its undirected image has "
+            f"{count} components"
+        )
+
+
+def component_count(g: DirectedMultigraph) -> int:
+    return len(bfs_components(g))
 
 
 def fit_growth_parameters(
@@ -742,8 +776,7 @@ def _validate_levels(
 
 def split_recognize_volcano(g: DirectedMultigraph) -> Optional[VolcanoShape]:
     """Classify ``g`` (treated as undirected) as an abstract l-volcano."""
-    if not is_connected(g):
-        raise NotConnectedError("volcano recognition needs a connected graph")
+    require_bfs_connected(g)
     view = _UndirectedView(g)
     peeled = _peel_levels(
         view, lambda vs: _classify_crater(view, vs) is not None
@@ -779,8 +812,7 @@ def split_recognize_augmented_volcano(
 ) -> Optional[AugmentedVolcanoShape]:
     """Classify ``g`` as an augmented volcano: a double crater with l-ary
     levels below, crater degree l+3."""
-    if not is_connected(g):
-        raise NotConnectedError("volcano recognition needs a connected graph")
+    require_bfs_connected(g)
     view = _UndirectedView(g)
     peeled = _peel_levels(
         view, lambda vs: _classify_double_crater(view, vs) is not None
@@ -819,8 +851,7 @@ def split_recognize_augmented_volcano(
 def split_is_double_crater(g: DirectedMultigraph) -> Optional[int]:
     """Length of ``g`` as a double crater (every cycle edge doubled), or
     None when the shape does not match."""
-    if not is_connected(g):
-        raise NotConnectedError("double-crater check needs a connected graph")
+    require_bfs_connected(g)
     view = _UndirectedView(g)
     return _classify_double_crater(view, set(range(g.vertex_count)))
 

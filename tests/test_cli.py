@@ -740,9 +740,21 @@ def test_dot_output_file(tmp_path, capsys):
     assert out.read_text().startswith("digraph")
 
 
-def test_an_empty_graph_exits_2(tmp_path, capsys):
-    src = tmp_path / "empty.json"
-    write_graph(DirectedMultigraph(0, (), name="empty"), str(src))
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (DirectedMultigraph(0, (), name="empty"), "graph has no vertices"),
+        (
+            DirectedMultigraph(3, ((0, 0), (1, 2), (2, 1)), name="apart"),
+            "apart is not connected: its undirected image has 2 components",
+        ),
+    ],
+    ids=["empty", "two-components"],
+)
+def test_an_empty_or_disconnected_graph_exits_2(g, message, tmp_path, capsys):
+    # one connectivity rule, so one stderr line whichever command meets it
+    src = tmp_path / "g.json"
+    write_graph(g, str(src))
     for argv in (
         ["invariants", "-i", str(src), "--p", "2"],
         ["verify", "-i", str(src), "--p", "2", "--n-max", "2"],
@@ -751,7 +763,7 @@ def test_an_empty_graph_exits_2(tmp_path, capsys):
         code, stdout, err = run(argv, capsys)
         assert code == 2, argv
         assert stdout == ""
-        assert err == "error: graph has no vertices\n"
+        assert err == f"error: {message}\n"
 
 
 def test_derive_on_an_empty_base_builds_nothing(tmp_path, capsys):

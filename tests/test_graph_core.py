@@ -5,13 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voltage_tower import (
+    ConstantVoltage,
     CycleWeightProfile,
     DirectedMultigraph,
     EmptyGraphError,
     NotConnectedError,
     adjacency_matrix,
+    components,
     cycle_weight_profile,
     degree_profile,
+    derive,
     directed_cycle,
     doubled,
     is_adjacency_normal,
@@ -21,7 +24,7 @@ from voltage_tower import (
     underlying_undirected,
 )
 
-from oracles import cycle_weight_gcd, tree_cycle_weight_profile
+from oracles import bfs_components, cycle_weight_gcd, tree_cycle_weight_profile
 
 
 def test_edge_validation():
@@ -187,6 +190,26 @@ def test_one_bfs_matches_the_tree_marking_walk(g):
     assert outcome(cycle_weight_profile, g) == outcome(
         tree_cycle_weight_profile, g
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=any_multigraphs())
+@example(g=DirectedMultigraph(0, ()))
+@example(g=underlying_undirected(DirectedMultigraph(0, ())))
+@example(g=DirectedMultigraph(4, ((1, 2), (0, 1), (3, 3))))
+def test_union_find_matches_the_breadth_first_walk(g):
+    assert outcome(components, g) == outcome(bfs_components, g)
+
+
+def test_union_find_matches_the_breadth_first_walk_on_derived_graphs(corpus):
+    # every level of every corpus graph at p = 2, 3 up to 2,000 vertices
+    for g in corpus:
+        for p in (2, 3):
+            n = 0
+            while g.vertex_count * p**n <= 2000:
+                derived = derive(g, ConstantVoltage(p), n).graph
+                assert components(derived) == bfs_components(derived), (g.name, p, n)
+                n += 1
 
 
 @st.composite

@@ -625,6 +625,13 @@ def test_check_theorem_hypotheses_examples():
     assert not hyp.mu_zero_hyp  # k = 2 is divisible by p
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3, True, 2.0])
+def test_check_theorem_hypotheses_refuses_a_p_that_is_not_prime(p):
+    # p = 0 once divided by zero, and the other five returned hypotheses
+    with pytest.raises(InvalidPrimeError):
+        check_theorem_hypotheses(bouquet(2), p)
+
+
 def test_balanced_graphs_have_t_squared_divisor(corpus):
     # T^2 divides the cleared polynomial of every balanced graph with a
     # cycle, so lambda_total >= 2 p^n0 whenever p > 2

@@ -7,37 +7,8 @@ builder writes the adjacency of the undirected image."""
 
 import ast
 import builtins
-from pathlib import Path
 
-import voltage_tower
-
-PACKAGE = Path(voltage_tower.__file__).parent
-
-
-def owners(predicate):
-    """(module, top-level definition) of each node of the package that
-    ``predicate`` accepts; module-level statements belong to
-    ``<module>``."""
-    found = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for stmt in tree.body:
-            owner = getattr(stmt, "name", "<module>")
-            if any(predicate(node) for node in ast.walk(stmt)):
-                found.add((path.name, owner))
-    return found
-
-
-def names(node):
-    if isinstance(node, ast.Name):
-        return {node.id}
-    if isinstance(node, ast.Attribute):
-        return {node.attr}
-    if isinstance(node, ast.FunctionDef):
-        return {node.name}
-    if isinstance(node, ast.ImportFrom):
-        return {alias.name for alias in node.names}
-    return set()
+from ast_guards import PACKAGE, names, owners
 
 
 def test_dense_bareiss_serves_only_matrices_from_no_graph():
@@ -145,7 +116,9 @@ def per_vertex_map(node):
 def test_one_builder_writes_the_undirected_adjacency():
     # the planner and the recognizers keep no neighbour map of their own;
     # besides the adjacency, only the cycle weights' signed incidence is
-    # built per vertex, since the potentials need each edge's direction
+    # built per vertex, since the potentials need each edge's direction.
+    # The components are a union-find over the edge list, so only the
+    # walks that need neighbours read the adjacency
     assert owners(per_vertex_map) == {
         ("graph.py", "neighbours"),
         ("graph.py", "cycle_weight_profile"),
@@ -153,7 +126,6 @@ def test_one_builder_writes_the_undirected_adjacency():
     assert owners(
         lambda node: isinstance(node, ast.Call) and "neighbours" in names(node.func)
     ) == {
-        ("graph.py", "components"),
         ("linalg.py", "elimination_schedule"),
         ("generators.py", "_recognize"),
         ("generators.py", "is_double_crater"),

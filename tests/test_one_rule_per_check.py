@@ -3,14 +3,12 @@ status of a library error is its class's ``exit_code``: ``cli`` catches
 library errors by their base class only."""
 
 import ast
-from pathlib import Path
 
 import pytest
 
-import voltage_tower
 from voltage_tower.errors import VoltageTowerError
 
-PACKAGE = Path(voltage_tower.__file__).parent
+from ast_guards import PACKAGE, calls_or_raises
 
 # The exit codes the cli docstring and the README document.
 EXIT_CODES = {
@@ -36,28 +34,8 @@ def error_classes(cls=VoltageTowerError):
         yield from error_classes(sub)
 
 
-def too_large_errors(path):
-    """(module, top-level definition) of each place the module calls or
-    raises TooLargeError."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for stmt in tree.body:
-        owner = getattr(stmt, "name", "<module>")
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                target = node.func
-            elif isinstance(node, ast.Raise):
-                target = node.exc
-            else:
-                continue
-            name = getattr(target, "id", None) or getattr(target, "attr", None)
-            if name == "TooLargeError":
-                yield path.name, owner
-
-
 def test_too_large_error_is_raised_only_by_check_cap():
-    found = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        found.update(too_large_errors(path))
+    found = calls_or_raises("TooLargeError")
     assert found == {("arith.py", "check_cap")}
 
 
