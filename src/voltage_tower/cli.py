@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen, derive, invariants, verify, export-dot, oracle.  Data
-goes to stdout or the -o path; diagnostics go to stderr.  Exit codes:
+Subcommands: gen, derive, invariants, verify, export-dot, oracle.  The
+parser is built once per process and shared; each call looks up its
+handler, ``cmd_<subcommand>``, by name.  Data goes to stdout or the -o
+path; diagnostics go to stderr.  Exit codes:
 0 success; 1 internal error (an identity the theory guarantees failed:
 a bug); 2 invalid parameters or malformed input (InvalidPrimeError,
 InvalidSpecError, DocumentError, EmptyGraphError, NotConnectedError, and
@@ -18,6 +20,7 @@ characteristic polynomial behind invariants and verify, or a p above
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -147,7 +150,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared by every later call.  It binds no
+    handler: ``main`` finds one by ``args.command`` at call time."""
     parser = argparse.ArgumentParser(
         prog="voltage-tower",
         description=(
@@ -171,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="volcano crater: cycle:K, one-loop, two-loops or bare",
     )
     p_gen.add_argument("-o", "--output", help="output path (default stdout)")
-    p_gen.set_defaults(func=cmd_gen)
 
     p_derive = sub.add_parser("derive", help="derived graph modulo p^level")
     p_derive.add_argument("-i", "--input", required=True)
@@ -180,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("--param", type=int, default=1)
     p_derive.add_argument("--allow-non-unit", action="store_true")
     p_derive.add_argument("-o", "--output")
-    p_derive.set_defaults(func=cmd_derive)
 
     p_inv = sub.add_parser("invariants", help="Iwasawa invariants of the tower")
     p_inv.add_argument("-i", "--input", required=True)
@@ -192,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="embed a tower report up to this level",
     )
     p_inv.add_argument("-o", "--output")
-    p_inv.set_defaults(func=cmd_invariants)
 
     p_verify = sub.add_parser(
         "verify", help="verify the spanning-tree growth law against tower data"
@@ -202,28 +205,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("-o", "--output")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_dot = sub.add_parser("export-dot", help="export a graph as DOT")
     p_dot.add_argument("-i", "--input", required=True)
     p_dot.add_argument("-o", "--output")
-    p_dot.set_defaults(func=cmd_export_dot)
 
     p_oracle = sub.add_parser(
         "oracle", help="brute-force spanning-tree count (16-edge cap)"
     )
     p_oracle.add_argument("-i", "--input", required=True)
     p_oracle.add_argument("-o", "--output")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except VoltageTowerError as exc:
         prefix = "internal: " if exc.exit_code == EXIT_INTERNAL else ""
         return _fail(exc.exit_code, f"{prefix}{exc}")

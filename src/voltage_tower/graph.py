@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptyGraphError, NotConnectedError
 
@@ -169,22 +169,31 @@ def neighbours(g: DirectedMultigraph) -> list[dict[int, int]]:
     return nbrs
 
 
-def components(g: DirectedMultigraph) -> list[list[int]]:
-    """Connected components of the undirected image, each sorted, ordered
-    by smallest vertex: a union-find over ``g.edges`` with path halving,
-    so no adjacency is built.  A graph with no vertices raises
-    EmptyGraphError."""
-    if g.vertex_count == 0:
-        raise EmptyGraphError("graph has no vertices")
-    parent = list(range(g.vertex_count))
+def _union_find(
+    vertex_count: int, edges: Iterable[tuple[int, int]]
+) -> Callable[[int], int]:
+    """Union ``edges`` with path halving and return the find: two vertices
+    have one root exactly when they lie in one component of the
+    undirected image.  No adjacency is built."""
+    parent = list(range(vertex_count))
 
     def root(v: int) -> int:
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         return v
 
-    for s, t in g.edges:
+    for s, t in edges:
         parent[root(t)] = root(s)
+    return root
+
+
+def components(g: DirectedMultigraph) -> list[list[int]]:
+    """Connected components of the undirected image, each sorted, ordered
+    by smallest vertex, from :func:`_union_find` over ``g.edges``.  A
+    graph with no vertices raises EmptyGraphError."""
+    if g.vertex_count == 0:
+        raise EmptyGraphError("graph has no vertices")
+    root = _union_find(g.vertex_count, g.edges)
     groups: dict[int, list[int]] = {}
     for v in range(g.vertex_count):
         groups.setdefault(root(v), []).append(v)

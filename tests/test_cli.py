@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -829,3 +834,85 @@ def test_every_library_error_maps_to_a_documented_exit_code(
         assert len(lines) == 1, error.__name__
         assert lines[0].startswith("error: ") and "boom" in lines[0]
         assert "Traceback" not in err
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_later_calls_construct_no_parser(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    run(["gen", "cycle"], capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (
+        ["gen", "bouquet", "--loops", "2"],
+        ["invariants", "-i", str(src), "--p", "3"],
+        ["verify", "-i", str(src), "--p", "2", "--n-max", "2", "--json"],
+        ["oracle", "-i", str(src)],
+    ):
+        code, _, _ = run(argv, capsys)
+        assert code == 0, argv
+    assert built == []
+
+
+def test_no_option_carries_over_to_the_next_call(tmp_path, capsys):
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    inv = ["invariants", "-i", str(src), "--p", "3"]
+    assert "tower_report" in json.loads(run(inv + ["--n-max", "3"], capsys)[1])
+    assert "tower_report" not in json.loads(run(inv, capsys)[1])
+
+    verify = ["verify", "-i", str(src), "--p", "2", "--n-max", "2"]
+    assert json.loads(run(verify + ["--json"], capsys)[1])["levels"]
+    code, stdout, _ = run(verify, capsys)
+    assert code == 0
+    assert stdout == _report_table(iwasawa.verify_growth(directed_cycle(3), 2, 2))
+
+
+@pytest.mark.parametrize(
+    "bad, status",
+    [(["verify", "--n-max", "2"], 2), (["verify", "--help"], 0)],
+    ids=["usage-error", "help"],
+)
+def test_a_call_after_argparse_exits_prints_the_same_bytes(
+    bad, status, tmp_path, capsys
+):
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    good = ["verify", "-i", str(src), "--p", "2", "--n-max", "2"]
+    first = run(good, capsys)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exited:
+        main(bad + ["-i", str(src)])
+    assert exited.value.code == status
+    capsys.readouterr()
+    assert run(good, capsys) == first
+
+
+def _console(*argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "voltage_tower.cli", *argv],
+        capture_output=True,
+        env=env,
+    )
+
+
+def test_the_console_entry_point_runs_as_a_program(capsys):
+    helped = _console("--help")
+    assert helped.returncode == 0
+    assert helped.stdout.startswith(b"usage: voltage-tower")
+
+    argv = ["gen", "cycle", "--length", "3"]
+    started = _console(*argv)
+    assert started.returncode == 0
+    assert started.stdout.decode() == run(argv, capsys)[1]
