@@ -34,7 +34,6 @@ from .graph import (
     is_connected,
     is_total_degree_constant,
     subgraph,
-    underlying_undirected,
 )
 from .generators import (
     AugmentedVolcanoShape,

@@ -7,8 +7,7 @@ path; diagnostics go to stderr.  Exit codes:
 0 success; 1 internal error (an identity the theory guarantees failed:
 a bug); 2 invalid parameters or malformed input (InvalidPrimeError,
 InvalidSpecError, DocumentError, EmptyGraphError, NotConnectedError, and
-any ValueError or OSError, an undirected graph given to derive,
-invariants or verify among them); 3 non-unit parameter (NotAUnitError);
+any ValueError or OSError); 3 non-unit parameter (NotAUnitError);
 4 no tower exists (NoTowerError); 5 growth-law mismatch; 6 size cap
 exceeded (TooLargeError: the oracle's edge cap, the derived-vertex cap on
 a tower level, on an input graph's vertex count or on a gen family, the

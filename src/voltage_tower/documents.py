@@ -34,7 +34,7 @@ def graph_to_document(g: DirectedMultigraph) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "schema": GRAPH_SCHEMA,
         "name": g.name,
-        "directed": not g.undirected,
+        "directed": True,
         "vertex_count": g.vertex_count,
         "edges": [[s, t] for s, t in g.edges],
     }
@@ -58,7 +58,7 @@ def graph_to_json(g: DirectedMultigraph) -> str:
     fields = [
         ("schema", encode_basestring_ascii(GRAPH_SCHEMA)),
         ("name", encode_basestring_ascii(g.name)),
-        ("directed", json.dumps(not g.undirected)),
+        ("directed", "true"),
         ("vertex_count", json.dumps(g.vertex_count)),
         (
             "edges",
@@ -76,9 +76,9 @@ def graph_to_json(g: DirectedMultigraph) -> str:
 
 def graph_from_document(doc: Any) -> DirectedMultigraph:
     """The graph of a graph-v1 document.  The reader checks the document:
-    fields, schema, lists and the vertex cap (TooLargeError); the
-    DirectedMultigraph constructor checks the graph, and its ValueError
-    becomes DocumentError."""
+    fields, schema, ``"directed": true``, lists and the vertex cap
+    (TooLargeError); the DirectedMultigraph constructor checks the graph,
+    and its ValueError becomes DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError("graph document must be a JSON object")
     allowed = {"schema", "name", "directed", "vertex_count", "labels", "edges"}
@@ -90,9 +90,11 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
     for key in ("name", "directed", "vertex_count", "edges"):
         if key not in doc:
             raise DocumentError(f"missing field {key!r}")
-    # ``not directed`` would be a bool whatever ``directed`` was
-    if type(doc["directed"]) is not bool:
-        raise DocumentError("directed must be a boolean")
+    if doc["directed"] is not True:
+        raise DocumentError(
+            "directed must be true: a constant voltage assignment needs "
+            "an orientation"
+        )
     edges, labels = doc["edges"], doc.get("labels")
     if type(edges) is not list or {*map(type, edges)} - {list}:
         raise DocumentError("edges must be a list of [src, dst] lists")
@@ -100,11 +102,7 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
         labels = tuple(labels)
     try:
         g = DirectedMultigraph(
-            doc["vertex_count"],
-            tuple(map(tuple, edges)),
-            labels,
-            doc["name"],
-            undirected=not doc["directed"],
+            doc["vertex_count"], tuple(map(tuple, edges)), labels, doc["name"]
         )
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
@@ -125,7 +123,7 @@ def read_graph(path: str) -> DirectedMultigraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DocumentError(f"invalid JSON: {exc}") from exc
     return graph_from_document(doc)
 
@@ -219,13 +217,11 @@ def _dot_quote(s: str) -> str:
 
 
 def graph_to_dot(g: DirectedMultigraph) -> str:
-    kind = "graph" if g.undirected else "digraph"
-    arrow = "--" if g.undirected else "->"
-    lines = [f"{kind} {_dot_quote(g.name)} {{"]
+    lines = [f"digraph {_dot_quote(g.name)} {{"]
     for v in range(g.vertex_count):
         label = g.vertex_labels[v] if g.vertex_labels else f"v{v}"
         lines.append(f"  n{v} [label={_dot_quote(label)}];")
     for s, t in g.edges:
-        lines.append(f"  n{s} {arrow} n{t};")
+        lines.append(f"  n{s} -> n{t};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -25,12 +25,12 @@ from .errors import EmptyGraphError, NotConnectedError
 
 @dataclass(frozen=True)
 class DirectedMultigraph:
-    """Finite directed multigraph with ordered edges.
+    """Finite directed multigraph with ordered edges: the one graph kind.
+    Each edge (s, t) runs from s to t, the orientation along which a
+    constant voltage assignment gives it its value.
 
     ``vertex_labels``, when present, is purely decorative (one string per
     vertex); ``name`` identifies the graph in documents and reports.
-    ``undirected`` marks an undirected image (see
-    :func:`underlying_undirected`): its edges are unordered pairs.
 
     The constructor is the one graph validator, and it converts nothing:
     ``vertex_count`` and the endpoints are ``int`` (not bool), ``edges`` and
@@ -41,7 +41,6 @@ class DirectedMultigraph:
     edges: tuple[tuple[int, int], ...]
     vertex_labels: Optional[tuple[str, ...]] = None
     name: str = "graph"
-    undirected: bool = False
 
     def __post_init__(self):
         n, labels = self.vertex_count, self.vertex_labels
@@ -64,8 +63,8 @@ class DirectedMultigraph:
             and all(type(x) is str for x in labels)
         ):
             raise ValueError(f"vertex_labels must be None or {n} strings")
-        if type(self.name) is not str or type(self.undirected) is not bool:
-            raise ValueError("name must be a string and undirected a bool")
+        if type(self.name) is not str:
+            raise ValueError("name must be a string")
 
     @property
     def edge_count(self) -> int:
@@ -98,33 +97,6 @@ class CycleWeightProfile:
     @property
     def is_acyclic(self) -> bool:
         return self.kind == self.ACYCLIC
-
-
-def underlying_undirected(g: DirectedMultigraph) -> DirectedMultigraph:
-    """Forgetful image of ``g``: edges canonicalized to (min, max) and
-    marked ``undirected`` so consumers treat them as unordered pairs."""
-    if g.undirected:
-        return g
-    canon = tuple((min(s, t), max(s, t)) for s, t in g.edges)
-    return DirectedMultigraph(
-        g.vertex_count,
-        canon,
-        g.vertex_labels,
-        f"undirected({g.name})",
-        undirected=True,
-    )
-
-
-def require_orientation(g: DirectedMultigraph) -> None:
-    """Raise ValueError on an undirected image.  A constant voltage
-    assignment gives each edge its value along the edge's orientation, and
-    the (min, max) pair of an undirected edge has none: read as one, it
-    would make the answer depend on the vertex numbering."""
-    if g.undirected:
-        raise ValueError(
-            f"{g.name} is undirected: a constant voltage assignment needs "
-            "an orientation"
-        )
 
 
 def require_connected(g: DirectedMultigraph) -> None:
@@ -214,28 +186,21 @@ def subgraph(g: DirectedMultigraph, vertices: Sequence[int]) -> DirectedMultigra
     labels = None
     if g.vertex_labels is not None:
         labels = tuple(g.vertex_labels[v] for v in vertices)
-    return DirectedMultigraph(
-        len(vertices),
-        edges,
-        labels,
-        f"{g.name}[component]",
-        undirected=g.undirected,
-    )
+    name = f"{g.name}[component]"
+    return DirectedMultigraph(len(vertices), edges, labels, name)
 
 
 def cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
     """Cycle-weight lattice of the doubled graph, in one BFS from vertex 0.
 
-    An undirected image raises ValueError, then :func:`require_connected`
-    raises EmptyGraphError for no vertices and NotConnectedError for more
-    than one component.  The BFS gives each vertex the signed weight theta
-    of its tree path (forward traversal of an edge counts +1, backward
-    -1).  A connected graph is acyclic exactly when it has r - 1 edges.
-    Otherwise the lattice is generated by the fundamental cycle weights
-    theta(u) + 1 - theta(w) of the edges (u, w); a tree edge's is 0, so
-    the gcd runs over every edge.
+    :func:`require_connected` raises EmptyGraphError for no vertices and
+    NotConnectedError for more than one component.  The BFS gives each
+    vertex the signed weight theta of its tree path: traversing an edge
+    along its orientation counts +1, against it -1.  A connected graph is
+    acyclic exactly when it has r - 1 edges.  Otherwise the lattice is
+    generated by the fundamental cycle weights theta(u) + 1 - theta(w) of
+    the edges (u, w); a tree edge's is 0, so the gcd runs over every edge.
     """
-    require_orientation(g)
     require_connected(g)
     n = g.vertex_count
     # vertex -> list of (other endpoint, sign of traversal)

@@ -34,7 +34,6 @@ from .graph import (
     is_adjacency_normal,
     is_total_degree_constant,
     require_connected,
-    require_orientation,
 )
 from .linalg import (
     _cleared_matrix, _interpolate_integer, cyclotomic_resultants,
@@ -106,13 +105,12 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     always leave r + 1.
 
     Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
-    out at least a double root: T^2 divides P(T), checked here.  Undirected
-    images raise ValueError and graphs with more than CHARPOLY_VERTEX_CAP
-    vertices TooLargeError, both first; then ``graph.require_connected``
-    raises EmptyGraphError or NotConnectedError.  The undirected adjacency
-    is built once, by the planner.
+    out at least a double root: T^2 divides P(T), checked here.  Graphs
+    with more than CHARPOLY_VERTEX_CAP vertices raise TooLargeError first;
+    then ``graph.require_connected`` raises EmptyGraphError or
+    NotConnectedError.  The undirected adjacency is built once, by the
+    planner.
     """
-    require_orientation(g)
     r = g.vertex_count
     check_cap(
         "{count} vertices exceed the characteristic-polynomial cap of {cap}",
@@ -190,7 +188,12 @@ def invariants(g: DirectedMultigraph, p: int) -> IwasawaInvariants:
     two exponents genuinely differ.)
     """
     require_prime(p)
-    n0 = require_tower(g, p)
+    return _invariants_at(g, p, require_tower(g, p))
+
+
+def _invariants_at(g: DirectedMultigraph, p: int, n0: int) -> IwasawaInvariants:
+    """:func:`invariants` once n0 is known, so that a caller that needs n0
+    first computes the cycle weights only once."""
     poly = char_poly(g)
     mu_total, lam_total = weierstrass(poly, p)
     q = p**n0
@@ -227,15 +230,16 @@ def verify_growth(
     back-checked downward; ``exact_from_level`` is the least level from
     which the identity holds on all recorded data.  The report carries
     ``invariants(g, p)``, computed once here.  An ``n_max`` that is not an
-    int (a bool is not one) raises ValueError.
+    int (a bool is not one), or one below n0 + 2, raises ValueError before
+    the characteristic polynomial is built.
     """
     require_prime(p)  # before the size check, whose loop needs p >= 2
     require_int("n_max", n_max)
     check_derived_size(g.vertex_count, p, n_max)
-    inv = invariants(g, p)
-    n0 = inv.n0
+    n0 = require_tower(g, p)
     if n_max < n0 + 2:
         raise ValueError(f"n_max must be at least n0 + 2 = {n0 + 2}")
+    inv = _invariants_at(g, p, n0)
     q = p**n0
     shifted = inv.charpoly.taylor_shift(-1).coefficients
     a = next(i for i, c in enumerate(shifted) if c)
@@ -286,10 +290,9 @@ def check_theorem_hypotheses(g: DirectedMultigraph, p: int) -> TheoremHypotheses
     matrix (forces mu = 0).  balanced_hyp: balanced, a cycle weight coprime
     to p when p = 2, and p does not divide k * kappa where k is the edge
     count (forces mu = 0, lambda = 1).  A p that is not prime raises
-    InvalidPrimeError, then an undirected image ValueError, then
-    ``graph.require_connected`` EmptyGraphError or NotConnectedError."""
+    InvalidPrimeError, then ``graph.require_connected`` EmptyGraphError or
+    NotConnectedError."""
     require_prime(p)
-    require_orientation(g)
     require_connected(g)
     prof = degree_profile(g)
     mu_positive = all(

@@ -19,7 +19,6 @@ from .graph import (
     DirectedMultigraph,
     components,
     cycle_weight_profile,
-    require_orientation,
     subgraph,
 )
 
@@ -91,10 +90,9 @@ def derive(
     Level 0 wraps the base graph unchanged, and a base with no vertices
     gives an empty graph at any level.  Past DERIVED_VERTEX_CAP
     vertices or DERIVED_EDGE_CAP edges, TooLargeError is raised before
-    anything is built.  Undirected images and a level that is not a
-    non-negative int (a bool is not one) raise ValueError.
+    anything is built.  A level that is not a non-negative int (a bool
+    is not one) raises ValueError.
     """
-    require_orientation(base)
     require_int("level", n, 0)
     check_derived_size(base.vertex_count, voltage.p, n)
     if n == 0:

@@ -160,12 +160,7 @@ def tree_cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
     """Cycle weights by marking a BFS spanning tree: the gcd of the
     fundamental cycle weights theta(u) + 1 - theta(w) of the non-tree edges
     only, acyclic when every edge is a tree edge, connectivity by a
-    separate walk.  Undirected images raise ValueError first."""
-    if g.undirected:
-        raise ValueError(
-            f"{g.name} is undirected: a constant voltage assignment needs "
-            "an orientation"
-        )
+    separate walk."""
     require_bfs_connected(g)
     n = g.vertex_count
     incidence = [[] for _ in range(n)]
@@ -324,13 +319,8 @@ def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
         labels = tuple(
             f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
         )
-    renamed = DirectedMultigraph(
-        g.vertex_count,
-        edges,
-        labels,
-        f"{g.name}*{u}",
-        undirected=g.undirected,
-    )
+    name = f"{g.name}*{u}"
+    renamed = DirectedMultigraph(g.vertex_count, edges, labels, name)
     return DerivedGraph(renamed, d.base_vertex_count, d.level)
 
 

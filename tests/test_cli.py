@@ -23,7 +23,6 @@ from voltage_tower import (
     derive,
     directed_cycle,
     doubled,
-    underlying_undirected,
     volcano,
 )
 from voltage_tower import cli, iwasawa, tower
@@ -57,10 +56,6 @@ def test_graph_document_round_trip(tmp_path):
     path = tmp_path / "g.json"
     write_graph(g, str(path))
     assert read_graph(str(path)) == g
-    u = underlying_undirected(g)
-    doc = graph_to_document(u)
-    assert doc["directed"] is False
-    assert graph_from_document(doc) == u
 
 
 def dumped(g):
@@ -87,9 +82,7 @@ def documented_graphs(draw):
     labels = draw(
         st.none() | st.lists(_TEXT, min_size=n, max_size=n).map(tuple)
     )
-    return DirectedMultigraph(
-        n, tuple(edges), labels, draw(_TEXT), undirected=draw(st.booleans())
-    )
+    return DirectedMultigraph(n, tuple(edges), labels, draw(_TEXT))
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,7 +95,7 @@ def test_graph_to_json_is_the_indent_2_dump(g):
 def test_graph_documents_keep_the_dump_layout(tmp_path):
     for g in (
         DirectedMultigraph(0, (), (), "empty"),
-        DirectedMultigraph(3, (), None, "no edges", undirected=True),
+        DirectedMultigraph(3, (), None, "no edges"),
         derive(directed_cycle(3), ConstantVoltage(3), 2).graph,
     ):
         path = tmp_path / "g.json"
@@ -113,6 +106,9 @@ def test_graph_documents_keep_the_dump_layout(tmp_path):
 def test_graph_document_rejects_garbage():
     with pytest.raises(DocumentError):
         graph_from_document({"schema": "nope"})
+    for directed in (False, 1, None, "true"):
+        with pytest.raises(DocumentError, match=NEEDS_AN_ORIENTATION):
+            graph_from_document(_graph_doc(directed=directed))
     with pytest.raises(DocumentError):
         graph_from_document(
             {
@@ -142,6 +138,11 @@ def test_directed_graph_with_an_undirected_looking_name():
     assert doc["directed"] is True
     assert graph_to_dot(g).startswith("digraph")
     assert graph_from_document(doc) == g
+
+
+NEEDS_AN_ORIENTATION = (
+    "directed must be true: a constant voltage assignment needs an orientation"
+)
 
 
 def _graph_doc(**overrides):
@@ -421,22 +422,41 @@ def test_a_prime_over_its_cap_exits_6_at_once(tmp_path, capsys):
         assert "exceeds the cap of 4294967296" in err
 
 
+def graph_reading_commands(src):
+    """One argv per subcommand that reads a graph document from ``src``."""
+    src = str(src)
+    return (
+        ["derive", "-i", src, "--p", "3", "--level", "1"],
+        ["invariants", "-i", src, "--p", "3"],
+        ["verify", "-i", src, "--p", "3", "--n-max", "3"],
+        ["export-dot", "-i", src],
+        ["oracle", "-i", src],
+    )
+
+
 def test_tower_commands_refuse_an_undirected_image(tmp_path, capsys):
-    # cycle(3) at p = 3 has n0 = 1 and lambda_total = 6; its (min, max)
-    # pairs, read as an orientation, would give n0 = 0 and lambda_total = 2
+    # an edge with no orientation gets no value from a constant voltage
+    # assignment, so no subcommand reads a graph marked undirected
     src = tmp_path / "u.json"
-    write_graph(underlying_undirected(directed_cycle(3)), str(src))
-    for argv in (
-        ["derive", "-i", str(src), "--p", "3", "--level", "1"],
-        ["invariants", "-i", str(src), "--p", "3"],
-        ["verify", "-i", str(src), "--p", "3", "--n-max", "3"],
-    ):
+    edges = [[0, 1], [1, 2], [0, 2]]
+    doc = _graph_doc(directed=False, vertex_count=3, edges=edges)
+    src.write_text(json.dumps(doc))
+    for argv in graph_reading_commands(src):
         code, stdout, err = run(argv, capsys)
         assert code == 2, argv
         assert stdout == ""
-        assert "needs an orientation" in err
-    code, stdout, _ = run(["oracle", "-i", str(src)], capsys)
-    assert (code, stdout) == (0, "3\n")
+        assert err == f"error: {NEEDS_AN_ORIENTATION}\n"
+
+
+def test_a_deeply_nested_document_exits_2(tmp_path, capsys):
+    # json.load recurses once per bracket
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 200_000)
+    for argv in graph_reading_commands(src):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2, argv
+        assert stdout == ""
+        assert err.startswith("error: invalid JSON: maximum recursion depth")
 
 
 def test_verify_command(tmp_path, capsys):
@@ -455,6 +475,12 @@ def test_verify_command(tmp_path, capsys):
     assert "exact from level 0" in stdout
     for kappa in ("4", "12", "36", "108"):
         assert kappa in stdout
+    # the README's example is this output, byte for byte
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = readme.read_text(encoding="utf-8").split(
+        "Example `verify` output:\n\n```\n", 1
+    )[1]
+    assert stdout == example.split("```", 1)[0]
 
     code, stdout, _ = run(
         ["verify", "-i", str(src), "--p", "3", "--n-max", "3", "--json"],
@@ -678,14 +704,25 @@ def test_verify_a_tall_tower_with_a_huge_valuation(tmp_path, capsys):
     ]
 
 
-def test_verify_rejects_small_n_max(tmp_path, capsys):
+def test_verify_rejects_small_n_max(tmp_path, capsys, monkeypatch):
+    # cycle(3) at p = 3 has n0 = 1, so n_max = 2 is one level short, and
+    # that is known before the characteristic polynomial is built
+    def no_charpoly(g):
+        raise AssertionError("char_poly was built")
+
+    monkeypatch.setattr(iwasawa, "char_poly", no_charpoly)
+    with pytest.raises(ValueError, match=r"n0 \+ 2 = 3"):
+        iwasawa.verify_growth(directed_cycle(3), 3, 2)
     src = tmp_path / "c.json"
     write_graph(directed_cycle(3), str(src))
-    code, _, err = run(
-        ["verify", "-i", str(src), "--p", "3", "--n-max", "2"], capsys
-    )
-    assert code == 2
-    assert "n0 + 2" in err
+    for argv in (
+        ["verify", "-i", str(src), "--p", "3", "--n-max", "2"],
+        ["invariants", "-i", str(src), "--p", "3", "--n-max", "2"],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2, argv
+        assert stdout == ""
+        assert err == "error: n_max must be at least n0 + 2 = 3\n"
 
 
 def test_export_dot(tmp_path, capsys):
@@ -695,13 +732,6 @@ def test_export_dot(tmp_path, capsys):
     assert code == 0
     assert stdout.startswith("digraph")
     assert stdout.count("->") == 3
-
-    und = tmp_path / "u.json"
-    write_graph(underlying_undirected(directed_cycle(3)), str(und))
-    code, stdout, _ = run(["export-dot", "-i", str(und)], capsys)
-    assert code == 0
-    assert stdout.startswith("graph")
-    assert stdout.count("--") == 3
 
 
 def test_oracle_command(tmp_path, capsys):

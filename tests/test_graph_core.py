@@ -21,7 +21,6 @@ from voltage_tower import (
     is_balanced,
     is_connected,
     is_total_degree_constant,
-    underlying_undirected,
 )
 
 from oracles import bfs_components, cycle_weight_gcd, tree_cycle_weight_profile
@@ -53,25 +52,9 @@ def test_the_constructor_converts_nothing():
         ((2, ()), {"vertex_labels": ["a", "b"]}),
         ((2, ()), {"vertex_labels": ("a", 1)}),
         ((2, ()), {"name": None}),
-        ((2, ()), {"undirected": 1}),
     ):
         with pytest.raises(ValueError):
             DirectedMultigraph(*args, **kwargs)
-
-
-def test_underlying_undirected_keeps_multiplicity():
-    g = DirectedMultigraph(2, ((0, 1), (1, 0)))
-    u = underlying_undirected(g)
-    assert u.edges == ((0, 1), (0, 1))
-    assert u.undirected
-    assert underlying_undirected(u) is u
-
-
-def test_underlying_undirected_loop_and_triangle():
-    loop = underlying_undirected(DirectedMultigraph(1, ((0, 0),)))
-    assert loop.edges == ((0, 0),)
-    tri = underlying_undirected(directed_cycle(3))
-    assert tri.edges == ((0, 1), (1, 2), (0, 2))
 
 
 def test_degree_profile_examples():
@@ -170,23 +153,21 @@ def outcome(f, g):
 @st.composite
 def any_multigraphs(draw):
     """Multigraphs on 0 to 9 vertices, loops and parallel edges allowed,
-    connected or not, sometimes as their undirected image."""
+    connected or not."""
     n = draw(st.integers(min_value=0, max_value=9))
     vertex = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=14)) if n else []
-    g = DirectedMultigraph(n, tuple(edges))
-    return underlying_undirected(g) if draw(st.booleans()) else g
+    return DirectedMultigraph(n, tuple(edges))
 
 
 @settings(max_examples=300, deadline=None)
 @given(g=any_multigraphs())
-@example(g=underlying_undirected(DirectedMultigraph(0, ())))
 @example(g=DirectedMultigraph(0, ()))
 @example(g=DirectedMultigraph(3, ((0, 1), (1, 1))))
 def test_one_bfs_matches_the_tree_marking_walk(g):
     # the gcd over every edge equals the gcd over the non-tree edges, and
     # the edge count decides acyclicity, with the same errors in the same
-    # order: orientation, no vertices, not connected
+    # order: no vertices, then not connected
     assert outcome(cycle_weight_profile, g) == outcome(
         tree_cycle_weight_profile, g
     )
@@ -195,7 +176,6 @@ def test_one_bfs_matches_the_tree_marking_walk(g):
 @settings(max_examples=300, deadline=None)
 @given(g=any_multigraphs())
 @example(g=DirectedMultigraph(0, ()))
-@example(g=underlying_undirected(DirectedMultigraph(0, ())))
 @example(g=DirectedMultigraph(4, ((1, 2), (0, 1), (3, 3))))
 def test_union_find_matches_the_breadth_first_walk(g):
     assert outcome(components, g) == outcome(bfs_components, g)

@@ -10,8 +10,6 @@ from voltage_tower import (
     NotAUnitError,
     TooLargeError,
     bouquet,
-    char_poly,
-    check_theorem_hypotheses,
     cycle_weight_profile,
     derive,
     directed_cycle,
@@ -21,7 +19,6 @@ from voltage_tower import (
     stabilization_level,
     subgraph,
     tower_component,
-    underlying_undirected,
 )
 from voltage_tower.arith import require_prime
 from voltage_tower.documents import read_graph, write_graph
@@ -55,22 +52,6 @@ def test_voltage_parameter_is_an_int(param):
 def test_derive_level_is_an_int(level):
     with pytest.raises(ValueError, match="level must be an int"):
         derive(directed_cycle(3), ConstantVoltage(3), level)
-
-
-def test_tower_computations_refuse_an_undirected_image():
-    # read as an orientation, (min, max) pairs make the answer depend on
-    # the vertex numbering
-    und = underlying_undirected(directed_cycle(3))
-    for compute in (
-        cycle_weight_profile,
-        char_poly,
-        lambda g: check_theorem_hypotheses(g, 3),
-        lambda g: derive(g, ConstantVoltage(3), 1),
-        lambda g: tower_component(g, ConstantVoltage(3), 1),
-    ):
-        with pytest.raises(ValueError, match="needs an orientation"):
-            compute(und)
-    assert kirchhoff_count(und) == 3
 
 
 def test_derive_level_zero_is_identity():
