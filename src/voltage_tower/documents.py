@@ -9,13 +9,18 @@ Graph documents are written by :func:`graph_to_json` in the byte layout of
 ``json.dumps(graph_to_document(g), indent=2)``.  It renders them itself
 because ``json`` encodes in pure Python, element by element, whenever an
 indent is given, and on a derived graph that was most of the time the
-``derive`` command took.
+``derive`` command took.  :func:`graph_to_dot` escapes the name and all
+labels in two ``str.replace`` passes, then renders all vertex lines with
+one ``%``-format and all edge lines with another.  The name goes in through
+an f-string and each label as a format argument, so a ``%`` in either is
+only ever text.
 """
 
 from __future__ import annotations
 
 import decimal
 import json
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
@@ -74,11 +79,16 @@ def graph_to_json(g: DirectedMultigraph) -> str:
     return "{\n" + body + "\n}\n"
 
 
+# JSON's \u escapes can spell a lone surrogate, which no output encodes.
+NOT_UTF8 = "name and labels must encode as UTF-8: a lone surrogate does not"
+
+
 def graph_from_document(doc: Any) -> DirectedMultigraph:
     """The graph of a graph-v1 document.  The reader checks the document:
-    fields, schema, ``"directed": true``, lists and the vertex cap
-    (TooLargeError); the DirectedMultigraph constructor checks the graph,
-    and its ValueError becomes DocumentError."""
+    fields, schema, ``"directed": true``, lists, the vertex cap
+    (TooLargeError) and a name and labels that encode as UTF-8; the
+    DirectedMultigraph constructor checks the graph, and its ValueError
+    becomes DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError("graph document must be a JSON object")
     allowed = {"schema", "name", "directed", "vertex_count", "labels", "edges"}
@@ -111,6 +121,10 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
         g.vertex_count,
         DERIVED_VERTEX_CAP,
     )
+    try:
+        "".join((g.name, *(g.vertex_labels or ()))).encode()
+    except UnicodeEncodeError:
+        raise DocumentError(NOT_UTF8) from None
     return g
 
 
@@ -212,16 +226,17 @@ def invariants_to_document(
     return doc
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def graph_to_dot(g: DirectedMultigraph) -> str:
-    lines = [f"digraph {_dot_quote(g.name)} {{"]
-    for v in range(g.vertex_count):
-        label = g.vertex_labels[v] if g.vertex_labels else f"v{v}"
-        lines.append(f"  n{v} [label={_dot_quote(label)}];")
-    for s, t in g.edges:
-        lines.append(f"  n{s} -> n{t};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    n = g.vertex_count
+    labels = g.vertex_labels or [f"v{v}" for v in range(n)]
+    # a DOT string escapes its backslashes, then its double quotes
+    texts = map(str.replace, (g.name, *labels), repeat("\\"), repeat("\\\\"))
+    name, *labels = map(str.replace, texts, repeat('"'), repeat('\\"'))
+    vertices = chain.from_iterable(zip(range(n), labels))
+    edges = chain.from_iterable(g.edges)
+    return (
+        f'digraph "{name}" {{\n'
+        + '  n%d [label="%s"];\n' * n % tuple(vertices)
+        + "  n%d -> n%d;\n" * len(g.edges) % tuple(edges)
+        + "}\n"
+    )

@@ -4,12 +4,15 @@ The derived graph at level n places one sheet of the base over every
 residue ``sigma`` mod p^n and sends each base edge (s, t) to
 ``(s, sigma) -> (t, sigma + param)``.  Vertex ``(v, sigma)`` lives at index
 ``sigma * base_vertex_count + v`` so repeated runs are bit-identical.
+Edges are grouped by base edge, then by sheet: the lift of base edge i
+over sheet sigma is derived edge ``i * p^n + sigma``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .arith import _stated, check_cap, require_int, require_prime, valuation
@@ -111,14 +114,23 @@ def derive(
     modulus = voltage.p**n
     a = voltage.param % modulus
     nv = base.vertex_count
-    edges = []
-    for s, t in base.edges:
-        for sigma in range(modulus):
-            edges.append((sigma * nv + s, ((sigma + a) % modulus) * nv + t))
-    labels = tuple(
-        f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
+    size, shift = modulus * nv, a * nv
+    # the lifts of (s, t) leave sheets 0, 1, ... in turn and reach sheets
+    # a, a + 1, ..., wrapping to sheet 0 after the last
+    edges = chain.from_iterable(
+        zip(
+            range(s, size, nv),
+            chain(range(shift + t, size, nv), range(t, shift + t, nv)),
+        )
+        for s, t in base.edges
     )
-    g = DirectedMultigraph(modulus * nv, tuple(edges), labels, name)
+    prefixes = [f"v{v}@" for v in range(nv)]
+    labels = tuple(
+        prefix + sigma
+        for sigma in map(str, range(modulus))
+        for prefix in prefixes
+    )
+    g = DirectedMultigraph(size, tuple(edges), labels, name)
     return DerivedGraph(g, nv, n)
 
 

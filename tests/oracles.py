@@ -324,6 +324,46 @@ def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
     return DerivedGraph(renamed, d.base_vertex_count, d.level)
 
 
+def sheet_by_sheet_derive(
+    base: DirectedMultigraph, p: int, param: int, n: int
+) -> DerivedGraph:
+    """Derived graph of the constant voltage ``param`` modulo p^n, built one
+    edge at a time: for each base edge (s, t), then for each sheet sigma,
+    the edge (s, sigma) -> (t, sigma + param), with vertex (v, sigma) at
+    index sigma * |V| + v and labelled ``v{v}@{sigma}``."""
+    if n == 0:
+        return DerivedGraph(base, base.vertex_count, 0)
+    modulus = p**n
+    a = param % modulus
+    nv = base.vertex_count
+    edges = []
+    for s, t in base.edges:
+        for sigma in range(modulus):
+            edges.append((sigma * nv + s, ((sigma + a) % modulus) * nv + t))
+    labels = tuple(
+        f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
+    )
+    name = f"derive({base.name},p={p},n={n})"
+    g = DirectedMultigraph(modulus * nv, tuple(edges), labels, name)
+    return DerivedGraph(g, nv, n)
+
+
+def _dot_quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def line_by_line_dot(g: DirectedMultigraph) -> str:
+    """DOT text of a graph, one formatted line per vertex and per edge."""
+    lines = [f"digraph {_dot_quote(g.name)} {{"]
+    for v in range(g.vertex_count):
+        label = g.vertex_labels[v] if g.vertex_labels else f"v{v}"
+        lines.append(f"  n{v} [label={_dot_quote(label)}];")
+    for s, t in g.edges:
+        lines.append(f"  n{s} -> n{t};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def bfs_components(g: DirectedMultigraph) -> list[list[int]]:
     """Connected components of the undirected image by breadth-first
     search over an adjacency list read off ``g.edges``, each sorted,

@@ -29,6 +29,7 @@ from voltage_tower import cli, iwasawa, tower
 from voltage_tower.cli import _report_table, main
 from voltage_tower.documents import (
     DECIMAL_LEAF_BITS,
+    NOT_UTF8,
     DocumentError,
     decimal_str,
     graph_from_document,
@@ -42,7 +43,7 @@ from voltage_tower.documents import (
 )
 from voltage_tower.tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
 
-from oracles import one_conversion_decimal_str
+from oracles import line_by_line_dot, one_conversion_decimal_str
 
 
 def run(argv, capsys):
@@ -89,7 +90,46 @@ def documented_graphs(draw):
 @given(g=documented_graphs())
 def test_graph_to_json_is_the_indent_2_dump(g):
     assert graph_to_json(g) == dumped(g)
-    assert graph_from_document(json.loads(graph_to_json(g))) == g
+    doc = json.loads(graph_to_json(g))
+    text = g.name + "".join(g.vertex_labels or ())
+    if any("\ud800" <= c <= "\udfff" for c in text):
+        with pytest.raises(DocumentError, match=NOT_UTF8):
+            graph_from_document(doc)
+    else:
+        assert graph_from_document(doc) == g
+
+
+# Format directives, braces, quotes, a backslash and a newline in a name or
+# a label are only ever text in the DOT output.
+_FORMAT_TEXT = '%s %d {} %(x)s "q" \\ %\n'
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=documented_graphs())
+@example(g=DirectedMultigraph(0, (), (), "empty"))
+@example(g=DirectedMultigraph(0, (), None, ""))
+@example(g=DirectedMultigraph(3, ((0, 1), (1, 1), (0, 1)), None, "unlabelled"))
+@example(
+    g=DirectedMultigraph(
+        3, ((0, 2), (2, 0)), ("%", "%d%s", _FORMAT_TEXT), _FORMAT_TEXT
+    )
+)
+@example(g=derive(directed_cycle(3), ConstantVoltage(3), 2).graph)
+@example(g=derive(bouquet(2), ConstantVoltage(5, -1), 2).graph)
+def test_graph_to_dot_keeps_the_line_by_line_bytes(g):
+    assert graph_to_dot(g) == line_by_line_dot(g)
+
+
+def test_graph_to_dot_layout():
+    g = DirectedMultigraph(2, ((1, 0), (1, 1)), ('a"%d', "\\%s"), "g%s{}")
+    assert graph_to_dot(g) == (
+        'digraph "g%s{}" {\n'
+        '  n0 [label="a\\"%d"];\n'
+        '  n1 [label="\\\\%s"];\n'
+        "  n1 -> n0;\n"
+        "  n1 -> n1;\n"
+        "}\n"
+    )
 
 
 def test_graph_documents_keep_the_dump_layout(tmp_path):
@@ -446,6 +486,20 @@ def test_tower_commands_refuse_an_undirected_image(tmp_path, capsys):
         assert code == 2, argv
         assert stdout == ""
         assert err == f"error: {NEEDS_AN_ORIENTATION}\n"
+
+
+def test_a_lone_surrogate_in_a_name_or_label_exits_2(tmp_path, capsys):
+    # no command reads a document that it could not write out again
+    src = tmp_path / "s.json"
+    out = tmp_path / "out"
+    for doc in (_graph_doc(name="s\ud800"), _graph_doc(labels=["a", "x\udfff"])):
+        src.write_text(json.dumps(doc))
+        for argv in graph_reading_commands(src):
+            code, stdout, err = run([*argv, "-o", str(out)], capsys)
+            assert code == 2, argv
+            assert stdout == ""
+            assert err == f"error: {NOT_UTF8}\n"
+            assert not out.exists(), argv
 
 
 def test_a_deeply_nested_document_exits_2(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voltage_tower import (
@@ -29,8 +29,8 @@ from voltage_tower.tower import (
     check_derived_size,
 )
 
-from oracles import component_count, relabel_by_unit
-from strategies import connected_multigraphs
+from oracles import component_count, relabel_by_unit, sheet_by_sheet_derive
+from strategies import connected_multigraphs, looped_multigraphs
 
 PRIMES = (2, 3, 5)
 
@@ -78,6 +78,32 @@ def test_derive_three_cycle_splits_into_copies():
     assert component_count(d2.graph) == 3
     for comp in components(d2.graph):
         assert len(comp) == 9
+
+
+def _special_params(p, n):
+    """0 and p^n (no wrap), p^n + 1, -1, p - 1 and one above p^n."""
+    modulus = p**n
+    return (0, modulus, modulus + 1, -1, p - 1, 3 * modulus + 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=looped_multigraphs(),
+    p=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(min_value=0, max_value=4),
+    param=st.integers(min_value=-(10**6), max_value=10**6),
+)
+@example(base=DirectedMultigraph(0, ()), p=3, n=2, param=1)
+def test_derive_keeps_the_sheet_by_sheet_edges_and_labels(base, p, n, param):
+    for a in (*_special_params(p, n), param):
+        d = derive(base, ConstantVoltage(p, a), n)
+        expected = sheet_by_sheet_derive(base, p, a, n)
+        assert d.graph.name == expected.graph.name
+        assert d.graph.vertex_count == expected.graph.vertex_count
+        assert d.graph.edges == expected.graph.edges
+        assert d.graph.vertex_labels == expected.graph.vertex_labels
+        assert d.base_vertex_count == expected.base_vertex_count
+        assert d.level == expected.level
 
 
 def test_vertex_and_edge_counts(corpus):
