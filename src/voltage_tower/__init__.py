@@ -30,8 +30,6 @@ from .graph import (
     cycle_weight_profile,
     degree_profile,
     is_adjacency_normal,
-    is_balanced,
-    is_connected,
     is_total_degree_constant,
     subgraph,
 )

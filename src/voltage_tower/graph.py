@@ -172,10 +172,6 @@ def components(g: DirectedMultigraph) -> list[list[int]]:
     return list(groups.values())
 
 
-def is_connected(g: DirectedMultigraph) -> bool:
-    return len(components(g)) == 1
-
-
 def subgraph(g: DirectedMultigraph, vertices: Sequence[int]) -> DirectedMultigraph:
     """Induced subgraph on ``vertices``, reindexed densely in the given
     order; edge order is inherited from ``g``."""
@@ -224,11 +220,6 @@ def cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
     for u, w in g.edges:
         gcd = math.gcd(gcd, theta[u] + 1 - theta[w])
     return CycleWeightProfile(CycleWeightProfile.CYCLIC, gcd)
-
-
-def is_balanced(g: DirectedMultigraph) -> bool:
-    prof = degree_profile(g)
-    return prof.in_deg == prof.out_deg
 
 
 def is_total_degree_constant(g: DirectedMultigraph) -> Optional[int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import check_cap, require_int, require_prime, valuation
-from .backend import replay_determinant
+from .backend import Schedule, replay_determinant
 from .errors import StructureViolationError, ZeroPolynomialError
 from .graph import (
     DirectedMultigraph,
@@ -36,8 +36,8 @@ from .graph import (
     require_connected,
 )
 from .linalg import (
-    _cleared_matrix, _interpolate_integer, cyclotomic_resultants,
-    elimination_schedule, kirchhoff_count,
+    _cleared_matrix, _interpolate_integer, _kappa, cyclotomic_resultants,
+    elimination_schedule,
 )
 from .polynomial import IntPolynomial
 from .tower import CHARPOLY_VERTEX_CAP, check_derived_size, require_tower
@@ -108,17 +108,27 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     out at least a double root: T^2 divides P(T), checked here.  Graphs
     with more than CHARPOLY_VERTEX_CAP vertices raise TooLargeError first;
     then ``graph.require_connected`` raises EmptyGraphError or
-    NotConnectedError.  The undirected adjacency is built once, by the
-    planner.
+    NotConnectedError.
     """
-    r = g.vertex_count
+    schedule = _charpoly_schedule(g)
+    require_connected(g)
+    return _char_poly(g, schedule)
+
+
+def _charpoly_schedule(g: DirectedMultigraph) -> Schedule:
+    """``g``'s elimination schedule, once its vertex count is within
+    CHARPOLY_VERTEX_CAP: TooLargeError comes before anything is planned."""
     check_cap(
         "{count} vertices exceed the characteristic-polynomial cap of {cap}",
-        r,
+        g.vertex_count,
         CHARPOLY_VERTEX_CAP,
     )
-    require_connected(g)
-    schedule = elimination_schedule(g)
+    return elimination_schedule(g)
+
+
+def _char_poly(g: DirectedMultigraph, schedule: Schedule) -> IntPolynomial:
+    """:func:`char_poly` of a connected ``g`` on its ``schedule``."""
+    r = g.vertex_count
     nodes = []
     # k = -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
     for i in range(1, r * r + 2):
@@ -188,13 +198,13 @@ def invariants(g: DirectedMultigraph, p: int) -> IwasawaInvariants:
     two exponents genuinely differ.)
     """
     require_prime(p)
-    return _invariants_at(g, p, require_tower(g, p))
+    n0 = require_tower(g, p)
+    return _invariants_at(_char_poly(g, _charpoly_schedule(g)), p, n0)
 
 
-def _invariants_at(g: DirectedMultigraph, p: int, n0: int) -> IwasawaInvariants:
-    """:func:`invariants` once n0 is known, so that a caller that needs n0
-    first computes the cycle weights only once."""
-    poly = char_poly(g)
+def _invariants_at(poly: IntPolynomial, p: int, n0: int) -> IwasawaInvariants:
+    """:func:`invariants` from the characteristic polynomial ``poly`` and
+    n0, which the caller has computed once."""
     mu_total, lam_total = weierstrass(poly, p)
     q = p**n0
     if lam_total % q:
@@ -229,9 +239,9 @@ def verify_growth(
     one exact division per level.  nu is fitted at the top level and
     back-checked downward; ``exact_from_level`` is the least level from
     which the identity holds on all recorded data.  The report carries
-    ``invariants(g, p)``, computed once here.  An ``n_max`` that is not an
-    int (a bool is not one), or one below n0 + 2, raises ValueError before
-    the characteristic polynomial is built.
+    ``invariants(g, p)``; one plan of g serves it and kappa_n0.  An
+    ``n_max`` that is not an int (a bool is not one), or one below n0 + 2,
+    raises ValueError before the characteristic-polynomial cap is checked.
     """
     require_prime(p)  # before the size check, whose loop needs p >= 2
     require_int("n_max", n_max)
@@ -239,7 +249,8 @@ def verify_growth(
     n0 = require_tower(g, p)
     if n_max < n0 + 2:
         raise ValueError(f"n_max must be at least n0 + 2 = {n0 + 2}")
-    inv = _invariants_at(g, p, n0)
+    schedule = _charpoly_schedule(g)
+    inv = _invariants_at(_char_poly(g, schedule), p, n0)
     q = p**n0
     shifted = inv.charpoly.taylor_shift(-1).coefficients
     a = next(i for i, c in enumerate(shifted) if c)
@@ -247,7 +258,7 @@ def verify_growth(
         raise StructureViolationError(
             f"Q(x) = P(x - 1) is not x^{a} R(x^{q})"
         )
-    kappa = kirchhoff_count(g)
+    kappa = _kappa(g, schedule)
     records = [(n0, q, kappa, valuation(kappa, p))]
     resultants = cyclotomic_resultants(
         IntPolynomial(shifted[a::q]), p, n_max - n0
@@ -291,9 +302,11 @@ def check_theorem_hypotheses(g: DirectedMultigraph, p: int) -> TheoremHypotheses
     to p when p = 2, and p does not divide k * kappa where k is the edge
     count (forces mu = 0, lambda = 1).  A p that is not prime raises
     InvalidPrimeError, then ``graph.require_connected`` EmptyGraphError or
-    NotConnectedError."""
+    NotConnectedError, then a graph with more than CHARPOLY_VERTEX_CAP
+    vertices TooLargeError, before any matrix is built."""
     require_prime(p)
-    require_connected(g)
+    profile = cycle_weight_profile(g)
+    schedule = _charpoly_schedule(g)
     prof = degree_profile(g)
     mu_positive = all(
         d_i % p == 0 and d_o % p == 0
@@ -303,17 +316,9 @@ def check_theorem_hypotheses(g: DirectedMultigraph, p: int) -> TheoremHypotheses
     mu_zero = (
         k_const is not None and k_const % p != 0 and is_adjacency_normal(g)
     )
-    balanced = prof.in_deg == prof.out_deg
-    if balanced:
-        profile = cycle_weight_profile(g)
-        if p == 2:
-            has_odd_cycle = (
-                not profile.is_acyclic
-                and profile.weight_gcd != 0
-                and profile.weight_gcd % 2 != 0
-            )
-            balanced = has_odd_cycle
-        if balanced:
-            k = sum(prof.in_deg)
-            balanced = (k * kirchhoff_count(g)) % p != 0
+    balanced = (
+        prof.in_deg == prof.out_deg
+        and (p != 2 or profile.weight_gcd % 2 == 1)
+        and sum(prof.in_deg) * _kappa(g, schedule) % p != 0
+    )
     return TheoremHypotheses(mu_positive, mu_zero, balanced)

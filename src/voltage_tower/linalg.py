@@ -121,13 +121,17 @@ def kirchhoff_count(
     ``graph.require_connected`` comes first (EmptyGraphError for no
     vertices, NotConnectedError for more than one component), then the
     indices: ``row`` that is not an int in range(vertex_count) (a bool is
-    not one), or ``col`` other than ``row``, raises ValueError.  The
-    undirected adjacency is built once, by the planner."""
+    not one), or ``col`` other than ``row``, raises ValueError."""
     require_connected(g)
     require_int("row", row, 0, g.vertex_count)
     require_int("col", col, row, row + 1)
-    schedule = elimination_schedule(g)[:-1]
-    count = replay_determinant(schedule, _cleared_matrix(g, 1))
+    return _kappa(g, elimination_schedule(g))
+
+
+def _kappa(g: DirectedMultigraph, schedule: Schedule) -> int:
+    """:func:`kirchhoff_count` of a connected ``g`` on its ``schedule``:
+    M(1) replayed on all but the last pivot."""
+    count = replay_determinant(schedule[:-1], _cleared_matrix(g, 1))
     if count is None or count < 1:
         raise StructureViolationError("spanning-tree count must be positive")
     return count

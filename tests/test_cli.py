@@ -559,13 +559,13 @@ def test_verify_and_invariants_compute_the_charpoly_once(
     src = tmp_path / "b.json"
     write_graph(bouquet(2), str(src))
     calls = []
-    real = iwasawa.char_poly
+    real = iwasawa._char_poly
 
-    def counting(g):
+    def counting(g, schedule):
         calls.append(g)
-        return real(g)
+        return real(g, schedule)
 
-    monkeypatch.setattr(iwasawa, "char_poly", counting)
+    monkeypatch.setattr(iwasawa, "_char_poly", counting)
     base = ["-i", str(src), "--p", "2"]
     for argv in (
         ["verify", *base, "--n-max", "3"],
@@ -588,18 +588,18 @@ def test_verify_builds_one_level_whatever_n_max(tmp_path, capsys, monkeypatch):
     derived_levels = []
     kirchhoff_calls = []
     real_derive = tower.derive
-    real_kirchhoff = iwasawa.kirchhoff_count
+    real_kappa = iwasawa._kappa
 
     def counting_derive(base, voltage, n):
         derived_levels.append(n)
         return real_derive(base, voltage, n)
 
-    def counting_kirchhoff(g, *args):
+    def counting_kappa(g, schedule):
         kirchhoff_calls.append(g)
-        return real_kirchhoff(g, *args)
+        return real_kappa(g, schedule)
 
     monkeypatch.setattr(tower, "derive", counting_derive)
-    monkeypatch.setattr(iwasawa, "kirchhoff_count", counting_kirchhoff)
+    monkeypatch.setattr(iwasawa, "_kappa", counting_kappa)
     for n_max in (3, 4, 6):
         derived_levels.clear()
         kirchhoff_calls.clear()
@@ -645,12 +645,13 @@ def test_a_claimed_vertex_count_over_the_cap_exits_6_at_once(tmp_path, capsys):
 
 def test_a_charpoly_over_its_cap_exits_6_at_once(tmp_path, capsys, monkeypatch):
     # r + 1 dense r x r determinants: a 50,000-vertex cycle is within the
-    # document cap but must not reach a matrix
+    # document cap but must not reach the planner or a matrix
     def no_matrix(*args):
         raise AssertionError("a matrix was built")
 
+    monkeypatch.setattr(iwasawa, "elimination_schedule", no_matrix)
     monkeypatch.setattr(iwasawa, "_cleared_matrix", no_matrix)
-    monkeypatch.setattr(iwasawa, "kirchhoff_count", no_matrix)
+    monkeypatch.setattr(iwasawa, "_kappa", no_matrix)
     big = tmp_path / "c50000.json"
     write_graph(directed_cycle(50_000), str(big))
     small = tmp_path / "c65.json"
@@ -760,11 +761,12 @@ def test_verify_a_tall_tower_with_a_huge_valuation(tmp_path, capsys):
 
 def test_verify_rejects_small_n_max(tmp_path, capsys, monkeypatch):
     # cycle(3) at p = 3 has n0 = 1, so n_max = 2 is one level short, and
-    # that is known before the characteristic polynomial is built
-    def no_charpoly(g):
-        raise AssertionError("char_poly was built")
+    # that is known before the graph is planned for its characteristic
+    # polynomial
+    def no_plan(g):
+        raise AssertionError("the graph was planned")
 
-    monkeypatch.setattr(iwasawa, "char_poly", no_charpoly)
+    monkeypatch.setattr(iwasawa, "elimination_schedule", no_plan)
     with pytest.raises(ValueError, match=r"n0 \+ 2 = 3"):
         iwasawa.verify_growth(directed_cycle(3), 3, 2)
     src = tmp_path / "c.json"

@@ -36,7 +36,7 @@ from voltage_tower import (
     volcano,
     weierstrass,
 )
-from voltage_tower import backend, iwasawa, linalg
+from voltage_tower import backend, graph, iwasawa, linalg
 from voltage_tower.arith import PRIME_CAP, require_prime, valuation
 from voltage_tower.backend import bareiss_determinant, replay_determinant
 from voltage_tower.linalg import _cleared_matrix, elimination_schedule
@@ -281,12 +281,16 @@ def test_char_poly_matches_the_oracle_with_loops_and_parallel_edges(g):
 def test_char_poly_refuses_a_graph_over_the_cap_before_any_matrix(
     monkeypatch,
 ):
-    def no_matrix(g, k):
+    def no_matrix(*args):
         raise AssertionError("a matrix was built")
 
     monkeypatch.setattr(iwasawa, "_cleared_matrix", no_matrix)
+    monkeypatch.setattr(iwasawa, "elimination_schedule", no_matrix)
     with pytest.raises(TooLargeError):
         char_poly(directed_cycle(CHARPOLY_VERTEX_CAP + 1))
+    # the cap comes before connectivity
+    with pytest.raises(TooLargeError):
+        char_poly(DirectedMultigraph(CHARPOLY_VERTEX_CAP + 1, ()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,6 +425,16 @@ def test_invariants_no_tower():
         invariants(DirectedMultigraph(2, ((0, 1),)), 2)
     with pytest.raises(NoTowerError):
         invariants(DirectedMultigraph(2, ((0, 1), (0, 1))), 3)
+    # connectivity and the tower come before the characteristic-polynomial
+    # cap
+    big = CHARPOLY_VERTEX_CAP + 1
+    with pytest.raises(NotConnectedError):
+        invariants(DirectedMultigraph(big, ()), 2)
+    path = DirectedMultigraph(big, tuple((v, v + 1) for v in range(big - 1)))
+    with pytest.raises(NoTowerError):
+        invariants(path, 2)
+    with pytest.raises(TooLargeError):
+        invariants(directed_cycle(big), 2)
 
 
 def test_invariants_relabeling_invariance(corpus):
@@ -503,6 +517,18 @@ def test_verify_growth_validates_n_max():
     for n_max in (4.0, True):
         with pytest.raises(ValueError):
             verify_growth(directed_cycle(3), 2, n_max)
+    # connectivity and the tower come before n_max, and n_max before the
+    # characteristic-polynomial cap
+    big = CHARPOLY_VERTEX_CAP + 1
+    with pytest.raises(NotConnectedError):
+        verify_growth(DirectedMultigraph(big, ()), 2, 1)
+    path = DirectedMultigraph(big, tuple((v, v + 1) for v in range(big - 1)))
+    with pytest.raises(NoTowerError):
+        verify_growth(path, 2, 1)
+    with pytest.raises(ValueError, match=r"n0 \+ 2 = 2"):
+        verify_growth(directed_cycle(big), 2, 1)
+    with pytest.raises(TooLargeError):
+        verify_growth(directed_cycle(big), 2, 2)
 
 
 def test_verify_growth_caps_the_top_level():
@@ -540,7 +566,9 @@ def test_verify_growth_rejects_a_charpoly_not_decimated_by_p_to_the_n0(
     # keeps (mu, lambda) = (0, 1) but puts -18x + 9x^2 into Q
     real = char_poly(directed_cycle(3))
     monkeypatch.setattr(
-        iwasawa, "char_poly", lambda g: IntPolynomial(poly_add(real, (0, 0, 9)))
+        iwasawa,
+        "_char_poly",
+        lambda g, schedule: IntPolynomial(poly_add(real, (0, 0, 9))),
     )
     assert invariants(directed_cycle(3), 3).lam == 1
     with pytest.raises(StructureViolationError, match="R\\(x\\^3\\)"):
@@ -623,6 +651,60 @@ def test_check_theorem_hypotheses_examples():
     assert hyp.balanced_hyp
     hyp = check_theorem_hypotheses(DirectedMultigraph(2, ((0, 1), (1, 0))), 2)
     assert not hyp.mu_zero_hyp  # k = 2 is divisible by p
+    assert not hyp.balanced_hyp  # its one cycle weight, 2, is even
+    # at p = 2 an odd cycle weight, 3, and k * kappa = 9
+    assert check_theorem_hypotheses(directed_cycle(3), 2).balanced_hyp
+
+
+def test_check_theorem_hypotheses_refuses_a_graph_over_the_cap_before_any_matrix(
+    monkeypatch,
+):
+    # the normality test multiplies dense r x r matrices, and kappa is
+    # replayed on the charpoly's planner: both wait for its cap
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(graph, "adjacency_matrix", no_matrix)
+    monkeypatch.setattr(iwasawa, "elimination_schedule", no_matrix)
+    monkeypatch.setattr(linalg, "_cleared_matrix", no_matrix)
+    big = CHARPOLY_VERTEX_CAP + 1
+    with pytest.raises(TooLargeError):
+        check_theorem_hypotheses(directed_cycle(big), 3)
+    # connectivity comes first
+    with pytest.raises(NotConnectedError):
+        check_theorem_hypotheses(DirectedMultigraph(big, ()), 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: verify_growth(g, 3, 3),
+        lambda g: invariants(g, 3),
+        lambda g: check_theorem_hypotheses(g, 3),
+    ],
+    ids=["verify_growth", "invariants", "check_theorem_hypotheses"],
+)
+def test_each_entry_point_plans_once_and_runs_one_union_find(call, monkeypatch):
+    # the cycle weights give n0 and connectivity, and one schedule serves
+    # the characteristic polynomial and kappa
+    plans, finds = [], []
+    plan, find = linalg.elimination_schedule, graph._union_find
+
+    def counted_plan(g):
+        plans.append(g)
+        return plan(g)
+
+    def counted_find(*args):
+        finds.append(args)
+        return find(*args)
+
+    monkeypatch.setattr(linalg, "elimination_schedule", counted_plan)
+    monkeypatch.setattr(iwasawa, "elimination_schedule", counted_plan)
+    monkeypatch.setattr(graph, "_union_find", counted_find)
+    monkeypatch.setattr(linalg, "_union_find", counted_find)
+    # the 3-cycle at p = 3: n0 = 1, balanced, and kappa = 3 is reached
+    call(directed_cycle(3))
+    assert (len(plans), len(finds)) == (1, 1)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3, True, 2.0])
@@ -639,9 +721,8 @@ def test_balanced_graphs_have_t_squared_divisor(corpus):
         prof = cycle_weight_profile(g)
         if prof.is_acyclic:
             continue
-        from voltage_tower import is_balanced
-
-        if not is_balanced(g):
+        degrees = degree_profile(g)
+        if degrees.in_deg != degrees.out_deg:
             continue
         poly = char_poly(g)
         assert poly.coefficient(0) == 0 and poly.coefficient(1) == 0

@@ -40,7 +40,9 @@ def test_the_replay_calls_no_other_kernel():
 
 def test_one_planner_serves_both_graph_determinants():
     # defined next to the matrix builder, from the edge list, and called
-    # once per graph by the charpoly and the Kirchhoff count
+    # by the public Kirchhoff count and by the charpoly's cap-and-plan
+    # step, whose schedule the charpoly and kappa share; that each entry
+    # point plans once is counted in test_iwasawa
     assert owners(
         lambda node: isinstance(node, ast.FunctionDef)
         and node.name == "elimination_schedule"
@@ -48,7 +50,10 @@ def test_one_planner_serves_both_graph_determinants():
     assert owners(
         lambda node: isinstance(node, ast.Call)
         and "elimination_schedule" in names(node.func)
-    ) == {("linalg.py", "kirchhoff_count"), ("iwasawa.py", "char_poly")}
+    ) == {
+        ("linalg.py", "kirchhoff_count"),
+        ("iwasawa.py", "_charpoly_schedule"),
+    }
 
 
 def test_the_backend_imports_nothing_from_the_package():
