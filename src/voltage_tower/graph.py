@@ -224,7 +224,11 @@ def cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
 
 def is_total_degree_constant(g: DirectedMultigraph) -> Optional[int]:
     """The common value of in-degree + out-degree, or None if it varies."""
-    prof = degree_profile(g)
+    return _constant_total_degree(degree_profile(g))
+
+
+def _constant_total_degree(prof: DegreeProfile) -> Optional[int]:
+    """:func:`is_total_degree_constant` read off a profile already built."""
     totals = {i + o for i, o in zip(prof.in_deg, prof.out_deg)}
     if len(totals) == 1:
         return totals.pop()

@@ -5,14 +5,15 @@ power series det(D - A(1+T) - A^t(1+T)^(-1)).  Multiplying every row by
 (1+T), a unit power series, clears the denominators and leaves an honest
 integer polynomial P(T) = Q(1+T) of degree at most 2r, where Q(x) =
 det(Dx - Ax^2 - A^t) is palindromic; its half S, with Q(x) = x^r S(x +
-1/x), comes from r + 1 integer determinants.  mu and lambda drop out of
-the p-adic valuations of P's coefficients (Weierstrass preparation), and
-nu is fitted against spanning-tree counts climbing the tower.
+1/x), comes from r - a + 1 integer determinants, a the number of sources
+plus sinks.  mu and lambda drop out of the p-adic valuations of P's
+coefficients (Weierstrass preparation), and nu is fitted against
+spanning-tree counts climbing the tower.
 
 The same polynomial gives those counts, with no derived graph built.  Up
 to level n0 the derived graph is p^n disjoint copies of the base, so
 kappa_n0 is the base graph's Kirchhoff count.  With q = p^n0, every cycle
-weight is divisible by q, so Q(x) = P(x - 1) = x^a R(x^q), and above n0
+weight is divisible by q, so Q(x) = P(x - 1) = x^e R(x^q), and above n0
 the Laplacian splits over the characters of Z/p^n into
 
     kappa_n = kappa_{n-1} |Res(Phi_{p^(n-n0)}, R)| / p.
@@ -29,10 +30,10 @@ from .backend import Schedule, replay_determinant
 from .errors import StructureViolationError, ZeroPolynomialError
 from .graph import (
     DirectedMultigraph,
+    _constant_total_degree,
     cycle_weight_profile,
     degree_profile,
     is_adjacency_normal,
-    is_total_degree_constant,
     require_connected,
 )
 from .linalg import (
@@ -90,11 +91,12 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     adjacency matrix (loops once), P(T) = Q(1 + T) for the cleared
     determinant Q(x) = det(Dx - Ax^2 - A^t).  Since x^2 M(1/x) = M(x)^t,
     Q(x) = x^(2r) Q(1/x) is palindromic, so Q(x) = x^r S(x + 1/x) with S
-    an integer polynomial of degree at most r, and r + 1 integer
+    an integer polynomial, of degree at most d = r - a where a counts g's
+    sources and sinks (see :func:`_char_poly`), and d + 1 integer
     determinants pin it down: Q(k) at k = -1, 2, -2, 3, ...  With L the
-    lcm of the |k|, S_L(z) = L^r S(z / L) has integer coefficients s_j
-    L^(r-j) and takes the integer value (L/k)^r Q(k) at the integer node
-    z = (k^2 + 1) L/k, so integer Newton interpolation recovers it and
+    lcm of the |k|, S_L(z) = L^d S(z / L) has integer coefficients s_j
+    L^(d-j) and takes the integer value (L/k)^d Q(k)/k^a at the integer
+    node z = (k^2 + 1) L/k, so integer Newton interpolation recovers it and
     exact divisions give the s_j.  Each M(k), k != 0, has the off-diagonal
     pattern of g's non-loop edges taken both ways, so one schedule,
     planned on the edge list, is replayed on all of them.  A k whose
@@ -102,7 +104,7 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     the k used.  A pivot of order j < r is a leading minor, of degree
     <= 2j in k and positive at k = 1 (a proper minor of a connected
     Laplacian), so at most r(r - 1) nodes fail and r^2 + 1 candidates
-    always leave r + 1.
+    always leave d + 1.
 
     Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
     out at least a double root: T^2 divides P(T), checked here.  Graphs
@@ -127,31 +129,54 @@ def _charpoly_schedule(g: DirectedMultigraph) -> Schedule:
 
 
 def _char_poly(g: DirectedMultigraph, schedule: Schedule) -> IntPolynomial:
-    """:func:`char_poly` of a connected ``g`` on its ``schedule``."""
+    """:func:`char_poly` of a connected ``g`` on its ``schedule``.
+
+    A source (in-degree 0, a loop counting as an in-edge and an out-edge)
+    has a_vu = 0 for every v, so its row of M(x) = Dx - Ax^2 - A^t holds
+    D_u x and -a_uv x^2: x divides it.  A sink has a_vw = 0 for every w, so
+    x divides its column the same way, and where a source's row meets a
+    sink's column the entry is -a_uv x^2 (0 on the diagonal, where the
+    vertex has no edge at all).  Every term of the Leibniz expansion takes
+    one entry from each row and each column, so x^a divides Q with a =
+    #sources + #sinks.  As Q(x) = x^r S(x + 1/x) has order r - deg S at
+    0, S has degree at most d = r - a, and d + 1 nodes determine it; a
+    Q(k) that k^a does not divide breaks the argument and is an error.
+    """
     r = g.vertex_count
+    prof = degree_profile(g)
+    a = prof.in_deg.count(0) + prof.out_deg.count(0)
+    d = r - a
     nodes = []
     # k = -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
     for i in range(1, r * r + 2):
+        if len(nodes) > d:
+            break
         k = (-1) ** i * (i // 2 + 1)
         det = replay_determinant(schedule, _cleared_matrix(g, k))
         if det is not None:
             nodes.append((k, det))
-            if len(nodes) == r + 1:
-                break
-    else:
+    if len(nodes) <= d:
         raise StructureViolationError(f"{len(nodes)} of {r * r + 1} nodes replayed")
     big = math.lcm(*(k for k, _ in nodes))
     zs = [(k * k + 1) * (big // k) for k, _ in nodes]
-    ws = [(big // k) ** r * det for k, det in nodes]
+    ws = []
+    for k, det in nodes:
+        w, rem = divmod(det, k**a)
+        if rem:
+            raise StructureViolationError(
+                f"Q(k) at k = {k} is not divisible by k^{a}"
+            )
+        ws.append((big // k) ** d * w)
     s_hat = _interpolate_integer(zs, ws)
     s = []
-    for j in range(r + 1):
-        s_j, rem = divmod(s_hat.coefficient(j), big ** (r - j))
+    for j in range(d + 1):
+        s_j, rem = divmod(s_hat.coefficient(j), big ** (d - j))
         if rem:
             raise StructureViolationError(
                 f"x^r S(x + 1/x): coefficient of z^{j} is not an integer"
             )
         s.append(s_j)
+    s += [0] * (r - d)  # s_{d+1}, ..., s_r
     # homogeneous Horner: Q <- Q (x^2 + 1) + s_j x^(r-j), j = r..0
     q = [0] * (2 * r + 1)
     for j in range(r, -1, -1):
@@ -229,7 +254,7 @@ def verify_growth(
     degree q, so each is a copy of g and kappa_n0 is g's Kirchhoff count.
     Gauging D - Ax - A^t x^(-1) by diag(x^theta(v)), theta a BFS potential,
     leaves only powers x^(+-w) with every cycle weight w divisible by q, so
-    Q(x) = P(x - 1) = x^a R(x^q), checked here.  Above n0 the component
+    Q(x) = P(x - 1) = x^e R(x^q), checked here.  Above n0 the component
     count stays q and the Laplacian splits over the characters of Z/p^n,
     whose primitive p^n-th-root part multiplies to |Res(Phi_{p^n}, Q)| =
     |Res(Phi_{p^(n-n0)}, R)|^q; taking the q-th root of the level step,
@@ -253,15 +278,15 @@ def verify_growth(
     inv = _invariants_at(_char_poly(g, schedule), p, n0)
     q = p**n0
     shifted = inv.charpoly.taylor_shift(-1).coefficients
-    a = next(i for i, c in enumerate(shifted) if c)
-    if any(c for i, c in enumerate(shifted) if (i - a) % q):
+    e = next(i for i, c in enumerate(shifted) if c)
+    if any(c for i, c in enumerate(shifted) if (i - e) % q):
         raise StructureViolationError(
-            f"Q(x) = P(x - 1) is not x^{a} R(x^{q})"
+            f"Q(x) = P(x - 1) is not x^{e} R(x^{q})"
         )
     kappa = _kappa(g, schedule)
     records = [(n0, q, kappa, valuation(kappa, p))]
     resultants = cyclotomic_resultants(
-        IntPolynomial(shifted[a::q]), p, n_max - n0
+        IntPolynomial(shifted[e::q]), p, n_max - n0
     )
     for n, res in enumerate(resultants, n0 + 1):
         kappa, rem = divmod(kappa * res, p)
@@ -312,7 +337,7 @@ def check_theorem_hypotheses(g: DirectedMultigraph, p: int) -> TheoremHypotheses
         d_i % p == 0 and d_o % p == 0
         for d_i, d_o in zip(prof.in_deg, prof.out_deg)
     )
-    k_const = is_total_degree_constant(g)
+    k_const = _constant_total_degree(prof)
     mu_zero = (
         k_const is not None and k_const % p != 0 and is_adjacency_normal(g)
     )

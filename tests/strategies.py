@@ -41,6 +41,41 @@ def looped_multigraphs(draw):
 
 
 @st.composite
+def sourced_multigraphs(draw):
+    """Connected multigraphs on 1 to 6 vertices, each a source (no in-edge,
+    so no loop), a sink (no out-edge) or free, with a loop on a free vertex
+    where there is one and parallel edges.  A draw may leave out the free
+    role, so that every vertex is a source or a sink."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kinds = ["source", "sink"]
+    if draw(st.booleans()):
+        kinds.append("free")
+    role = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+
+    def allows(s, t):
+        return role[s] != "sink" and role[t] != "source"
+
+    def ways(v):
+        # the edges between v and an earlier vertex that the roles allow
+        pairs = [(u, v) for u in range(v)] + [(v, u) for u in range(v)]
+        return [(s, t) for s, t in pairs if allows(s, t)]
+
+    edges = []
+    for v in range(1, n):
+        if not ways(v):  # every earlier vertex has v's role: take the other
+            role[v] = "sink" if role[v] == "source" else "source"
+        edges.append(draw(st.sampled_from(ways(v))))
+    free = [v for v in range(n) if role[v] == "free"]
+    if free:
+        v = draw(st.sampled_from(free))
+        edges.append((v, v))
+    allowed = [(s, t) for s in range(n) for t in range(n) if allows(s, t)]
+    if allowed:
+        edges += draw(st.lists(st.sampled_from(allowed), max_size=6))
+    return DirectedMultigraph(n, tuple(edges))
+
+
+@st.composite
 def weights_divisible_by(draw, p):
     """Connected multigraphs whose every cycle weight is divisible by p.
 

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from voltage_tower import (
@@ -56,6 +56,7 @@ from oracles import (
 from strategies import (
     connected_multigraphs,
     looped_multigraphs,
+    sourced_multigraphs,
     weights_divisible_by,
 )
 
@@ -129,7 +130,7 @@ def test_char_poly_palindromy_and_double_root(g):
 @given(g=connected_multigraphs(), data=st.data())
 def test_char_poly_matches_the_cleared_matrix_off_the_nodes(g, data):
     # the cleared matrix D(1+x) - A(1+x)^2 - A^t, built entry by entry;
-    # the r + 1 evaluation points 1 + T = -1, 2, -2, ... lie in
+    # the r - a + 1 evaluation points 1 + T = -1, 2, -2, ... lie in
     # [-(r + 2), r + 2], so 1 + x does not hit one
     r = g.vertex_count
     x = data.draw(
@@ -207,36 +208,50 @@ def spy_on_the_nodes(monkeypatch):
     return ks, dets
 
 
+def sources_and_sinks(g):
+    prof = degree_profile(g)
+    return prof.in_deg.count(0) + prof.out_deg.count(0)
+
+
 @pytest.mark.parametrize(
     "offset, error, match",
     [
-        # off by one: no integer S_L fits the r + 1 values
+        # off by k^a: no integer S_L fits the r - a + 1 values, unless the
+        # spike (L/k)^d it puts on S_L is a multiple of prod (z_i - z_j)
         ("one", NonIntegralInterpolationError, "divided difference"),
-        # off by prod (z_i - z_j): S_L stays integral, but S or T^2 | P fails
+        # off by k^a prod (z_i - z_j): S_L stays integral, but S or T^2 | P
+        # fails
         ("nodes", StructureViolationError, None),
-        # off by L^r prod (z_i - z_j): S stays integral, but S(2) != 0
+        # off by k^a L^d prod (z_i - z_j): S stays integral, but S(2) != 0
         ("nodes_L", StructureViolationError, "T\\^2"),
     ],
 )
 def test_char_poly_rejects_one_corrupted_evaluation(
     monkeypatch, corpus, offset, error, match
 ):
-    # one determinant corrupted, at each of the r + 1 nodes k used in turn;
-    # the interpolation nodes are z = (k^2 + 1) L/k with L = lcm |k|
+    # one determinant corrupted, at each of the d + 1 = r - a + 1 nodes k
+    # used in turn, a counting sources and sinks; the interpolation nodes
+    # are z = (k^2 + 1) L/k with L = lcm |k|, and each offset is a multiple
+    # of k^a, so Q(k) / k^a takes the offset over k^a
+    checked = 0
     for g in corpus:
-        r = g.vertex_count
+        a = sources_and_sinks(g)
+        d = g.vertex_count - a
         ks, dets = spy_on_the_nodes(monkeypatch)
         char_poly(g)
         monkeypatch.undo()
         # a skipped node gives None
         used = [k for k, det in zip(ks, dets) if det is not None]
-        assert len(used) == r + 1, g.name
+        assert len(used) == max(d + 1, 0), g.name
         big = math.lcm(*used)
         zs = [(k * k + 1) * (big // k) for k in used]
         positions = [i for i, det in enumerate(dets) if det is not None]
-        for bad in range(r + 1):
+        for bad in range(d + 1):
             delta = math.prod(zs[bad] - z for z in zs if z != zs[bad])
-            delta = {"one": 1, "nodes": delta, "nodes_L": delta * big**r}[offset]
+            if offset == "one" and (big // used[bad]) ** d % delta == 0:
+                continue  # an integer S_L fits the corrupted values
+            delta = {"one": 1, "nodes": delta, "nodes_L": delta * big**d}[offset]
+            delta *= used[bad] ** a
             calls = itertools.count()
 
             def corrupted(schedule, m, calls=calls, at=positions[bad], delta=delta):
@@ -246,8 +261,38 @@ def test_char_poly_rejects_one_corrupted_evaluation(
             monkeypatch.setattr(iwasawa, "replay_determinant", corrupted)
             with pytest.raises(error, match=match):
                 char_poly(g)
-            # r + 1 nodes plus the skipped ones
+            # d + 1 nodes plus the skipped ones
             assert next(calls) == len(dets), g.name
+            checked += 1
+    assert checked >= 130
+
+
+def test_char_poly_rejects_an_evaluation_that_k_to_the_a_does_not_divide(
+    monkeypatch, corpus
+):
+    # x^a divides Q, so Q(k) + 1 is off the lattice k^a Z at every node
+    # with |k| >= 2 once a graph has a source or a sink
+    checked = 0
+    for g in corpus:
+        if sources_and_sinks(g) == 0:
+            continue
+        ks, dets = spy_on_the_nodes(monkeypatch)
+        char_poly(g)
+        monkeypatch.undo()
+        for at, (k, det) in enumerate(zip(ks, dets)):
+            if det is None or abs(k) < 2:
+                continue
+            calls = itertools.count()
+
+            def corrupted(schedule, m, calls=calls, at=at):
+                det = replay_determinant(schedule, m)
+                return det + 1 if next(calls) == at else det
+
+            monkeypatch.setattr(iwasawa, "replay_determinant", corrupted)
+            with pytest.raises(StructureViolationError, match="not divisible"):
+                char_poly(g)
+            checked += 1
+    assert checked >= 20
 
 
 def test_char_poly_skips_a_node_with_a_zero_pivot(monkeypatch):
@@ -267,6 +312,18 @@ def test_char_poly_skips_a_node_with_a_zero_pivot(monkeypatch):
     assert [det is None for det in dets] == [False, True, False, False, False]
 
 
+def test_char_poly_of_the_transitive_triangle_takes_two_nodes(monkeypatch):
+    # 0 -> 1, 0 -> 2, 1 -> 2: 0 is a source and 2 a sink, so a = 2 and
+    # Q(x) = -x^2 (x - 1)^2 = x^3 S(x + 1/x) with S(z) = 2 - z of degree
+    # d = r - a = 1
+    g = DirectedMultigraph(3, ((0, 1), (0, 2), (1, 2)))
+    expected = charpoly_2r_plus_1(g)
+    assert expected == IntPolynomial((0, 0, -1, -2, -1))
+    ks, _ = spy_on_the_nodes(monkeypatch)
+    assert char_poly(g) == expected
+    assert ks == [-1, 2]
+
+
 def test_char_poly_matches_the_2r_plus_1_node_oracle(corpus):
     for g in corpus:
         assert char_poly(g) == charpoly_2r_plus_1(g), g.name
@@ -275,6 +332,14 @@ def test_char_poly_matches_the_2r_plus_1_node_oracle(corpus):
 @settings(max_examples=80, deadline=None)
 @given(g=looped_multigraphs())
 def test_char_poly_matches_the_oracle_with_loops_and_parallel_edges(g):
+    assert char_poly(g) == charpoly_2r_plus_1(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=sourced_multigraphs())
+# two sources and a sink: d = 0, and Q = 0 from one node
+@example(g=DirectedMultigraph(3, ((0, 1), (2, 1), (0, 1))))
+def test_char_poly_matches_the_oracle_with_sources_and_sinks(g):
     assert char_poly(g) == charpoly_2r_plus_1(g)
 
 
@@ -685,10 +750,12 @@ def test_check_theorem_hypotheses_refuses_a_graph_over_the_cap_before_any_matrix
     ids=["verify_growth", "invariants", "check_theorem_hypotheses"],
 )
 def test_each_entry_point_plans_once_and_runs_one_union_find(call, monkeypatch):
-    # the cycle weights give n0 and connectivity, and one schedule serves
-    # the characteristic polynomial and kappa
-    plans, finds = [], []
+    # the cycle weights give n0 and connectivity, one schedule serves the
+    # characteristic polynomial and kappa, and one degree profile serves
+    # the sources and sinks and the degree tests
+    plans, finds, profiles = [], [], []
     plan, find = linalg.elimination_schedule, graph._union_find
+    profile = graph.degree_profile
 
     def counted_plan(g):
         plans.append(g)
@@ -702,9 +769,16 @@ def test_each_entry_point_plans_once_and_runs_one_union_find(call, monkeypatch):
     monkeypatch.setattr(iwasawa, "elimination_schedule", counted_plan)
     monkeypatch.setattr(graph, "_union_find", counted_find)
     monkeypatch.setattr(linalg, "_union_find", counted_find)
+
+    def counted_profile(g):
+        profiles.append(g)
+        return profile(g)
+
+    monkeypatch.setattr(graph, "degree_profile", counted_profile)
+    monkeypatch.setattr(iwasawa, "degree_profile", counted_profile)
     # the 3-cycle at p = 3: n0 = 1, balanced, and kappa = 3 is reached
     call(directed_cycle(3))
-    assert (len(plans), len(finds)) == (1, 1)
+    assert (len(plans), len(finds), len(profiles)) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3, True, 2.0])
