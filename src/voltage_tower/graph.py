@@ -5,18 +5,16 @@ list; loops and parallel edges are allowed and edge identity is the list
 index.  The doubled graph (every edge plus an implicit reverse partner of
 weight -1) is never materialized: every computation that needs it works
 with the +1/-1 sign convention directly.  Connectivity has one rule,
-:func:`require_connected`, decided by :func:`components`, a union-find
-over the edge list that builds no adjacency.  The undirected image's
-adjacency comes from one builder, :func:`neighbours`, which only the
-walks that need neighbours read: the elimination planner and the volcano
-recognizers.  The cycle weights keep a signed incidence of their own,
-since they need each edge's direction.
+:func:`require_connected`, decided by a union-find over the edge list
+that builds no adjacency and also carries the cycle weights' potentials.
+The undirected image's adjacency comes from one builder,
+:func:`neighbours`, which only the walks that need neighbours read: the
+elimination planner and the volcano recognizers.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -143,20 +141,30 @@ def neighbours(g: DirectedMultigraph) -> list[dict[int, int]]:
 
 def _union_find(
     vertex_count: int, edges: Iterable[tuple[int, int]]
-) -> Callable[[int], int]:
-    """Union ``edges`` with path halving and return the find: two vertices
-    have one root exactly when they lie in one component of the
-    undirected image.  No adjacency is built."""
+) -> Callable[[int], tuple[int, int]]:
+    """Union ``edges`` with path halving and return the find: ``find(v)``
+    is (root, theta).  Two vertices have one root exactly when they lie in
+    one component of the undirected image, and theta is the signed edge
+    count of a tree path from the root to v: traversing an edge along its
+    orientation counts +1, against it -1.  No adjacency is built."""
     parent = list(range(vertex_count))
+    up = [0] * vertex_count  # theta(v) - theta(parent[v]); 0 at a root
 
-    def root(v: int) -> int:
+    def find(v: int) -> tuple[int, int]:
+        theta = 0
         while parent[v] != v:
+            up[v] += up[parent[v]]
+            theta += up[v]
             parent[v] = v = parent[parent[v]]
-        return v
+        return v, theta
 
     for s, t in edges:
-        parent[root(t)] = root(s)
-    return root
+        root_s, theta_s = find(s)
+        root_t, theta_t = find(t)
+        if root_s != root_t:
+            parent[root_t] = root_s
+            up[root_t] = theta_s + 1 - theta_t
+    return find
 
 
 def components(g: DirectedMultigraph) -> list[list[int]]:
@@ -165,10 +173,10 @@ def components(g: DirectedMultigraph) -> list[list[int]]:
     graph with no vertices raises EmptyGraphError."""
     if g.vertex_count == 0:
         raise EmptyGraphError("graph has no vertices")
-    root = _union_find(g.vertex_count, g.edges)
+    find = _union_find(g.vertex_count, g.edges)
     groups: dict[int, list[int]] = {}
     for v in range(g.vertex_count):
-        groups.setdefault(root(v), []).append(v)
+        groups.setdefault(find(v)[0], []).append(v)
     return list(groups.values())
 
 
@@ -187,38 +195,23 @@ def subgraph(g: DirectedMultigraph, vertices: Sequence[int]) -> DirectedMultigra
 
 
 def cycle_weight_profile(g: DirectedMultigraph) -> CycleWeightProfile:
-    """Cycle-weight lattice of the doubled graph, in one BFS from vertex 0.
+    """Cycle-weight lattice of the doubled graph, from one union-find.
 
-    :func:`require_connected` raises EmptyGraphError for no vertices and
-    NotConnectedError for more than one component.  The BFS gives each
-    vertex the signed weight theta of its tree path: traversing an edge
-    along its orientation counts +1, against it -1.  A connected graph is
-    acyclic exactly when it has r - 1 edges.  Otherwise the lattice is
-    generated by the fundamental cycle weights theta(u) + 1 - theta(w) of
-    the edges (u, w); a tree edge's is 0, so the gcd runs over every edge.
+    :func:`_union_find` gives each vertex its root and the signed weight
+    theta of its tree path.  When the roots show no vertices or more than
+    one component, :func:`require_connected` raises EmptyGraphError or
+    NotConnectedError.  A connected graph is acyclic exactly when it has
+    r - 1 edges.  Otherwise the lattice is generated by the fundamental
+    cycle weights theta(u) + 1 - theta(w) of the edges (u, w); a tree
+    edge's is 0, so the gcd runs over every edge.
     """
-    require_connected(g)
     n = g.vertex_count
-    # vertex -> list of (other endpoint, sign of traversal)
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, t in g.edges:
-        if s != t:
-            incidence[s].append((t, +1))
-            incidence[t].append((s, -1))
-    theta: list[Optional[int]] = [None] * n
-    theta[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, sign in incidence[v]:
-            if theta[w] is None:
-                theta[w] = theta[v] + sign
-                queue.append(w)
+    found = list(map(_union_find(n, g.edges), range(n)))
+    if len({root for root, _ in found}) != 1:
+        require_connected(g)
     if len(g.edges) == n - 1:
         return CycleWeightProfile(CycleWeightProfile.ACYCLIC)
-    gcd = 0
-    for u, w in g.edges:
-        gcd = math.gcd(gcd, theta[u] + 1 - theta[w])
+    gcd = math.gcd(*(found[u][1] + 1 - found[w][1] for u, w in g.edges))
     return CycleWeightProfile(CycleWeightProfile.CYCLIC, gcd)
 
 

@@ -107,10 +107,12 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     always leave d + 1.
 
     Q(1) = det(Laplacian) = 0 and x = 1 is not a node, so u = 1 must come
-    out at least a double root: T^2 divides P(T), checked here.  Graphs
-    with more than CHARPOLY_VERTEX_CAP vertices raise TooLargeError first;
-    then ``graph.require_connected`` raises EmptyGraphError or
-    NotConnectedError.
+    out at least a double root: T^2 divides P(T), checked here.  As the
+    rebuilt Q is palindromic, Q'(1) = r Q(1): P's T^1 coefficient is r
+    times its T^0 one, so the check's only independent content is Q(1) =
+    S(2) = 0.  Graphs with more than CHARPOLY_VERTEX_CAP vertices raise
+    TooLargeError first; then ``graph.require_connected`` raises
+    EmptyGraphError or NotConnectedError.
     """
     schedule = _charpoly_schedule(g)
     require_connected(g)
@@ -184,6 +186,7 @@ def _char_poly(g: DirectedMultigraph, schedule: Schedule) -> IntPolynomial:
             q[i] += q[i - 2]
         q[r - j] += s[j]
     p = IntPolynomial(q).taylor_shift(1)
+    # q is palindromic, so Q'(1) = r Q(1): in effect this checks S(2) = 0
     if p.coefficient(0) != 0 or p.coefficient(1) != 0:
         raise StructureViolationError(
             "characteristic polynomial is not divisible by T^2"
@@ -252,7 +255,7 @@ def verify_growth(
     m = n - n0 indexes the tower from its connected base.  No derived graph
     is built.  The q = p^n0 components at level n0 cover g with total
     degree q, so each is a copy of g and kappa_n0 is g's Kirchhoff count.
-    Gauging D - Ax - A^t x^(-1) by diag(x^theta(v)), theta a BFS potential,
+    Gauging D - Ax - A^t x^(-1) by diag(x^theta(v)), theta a tree potential,
     leaves only powers x^(+-w) with every cycle weight w divisible by q, so
     Q(x) = P(x - 1) = x^e R(x^q), checked here.  Above n0 the component
     count stays q and the Laplacian splits over the characters of Z/p^n,

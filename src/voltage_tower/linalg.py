@@ -149,7 +149,7 @@ def brute_force_spanning_trees(g: DirectedMultigraph) -> int:
     n = g.vertex_count
     non_loop = [(s, t) for s, t in g.edges if s != t]
     return sum(
-        len(set(map(_union_find(n, subset), range(n)))) == 1
+        len({root for root, _ in map(_union_find(n, subset), range(n))}) == 1
         for subset in itertools.combinations(non_loop, n - 1)
     )
 

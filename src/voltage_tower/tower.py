@@ -140,12 +140,12 @@ def predicted_component_count(
 ) -> int:
     """Component count of the level-n derived graph (unit parameter),
     read off the cycle-weight lattice: the deck group acts with stabilizer
-    of index p^min(n, v_p(gcd)).  p must be prime and n an int >= 0."""
+    of index p^min(n, n0), with n0 from :func:`stabilization_level`, and
+    p^n when there is no tower.  p must be prime and n an int >= 0."""
     require_prime(p)
     require_int("n", n, 0)
-    if profile.is_acyclic or profile.weight_gcd == 0:
-        return p**n
-    return p ** min(n, valuation(profile.weight_gcd, p))
+    n0 = stabilization_level(profile, p)
+    return p ** (n if n0 is None else min(n, n0))
 
 
 def stabilization_level(

@@ -125,8 +125,8 @@ def test_non_tree_edge_count(corpus):
 
 
 def test_weight_gcd_invariant_under_root_choice(corpus):
-    # the BFS starts at vertex 0; swapping a drawn vertex with 0 starts it
-    # there instead
+    # the union-find's trees, roots and potentials follow the vertex
+    # numbers; swapping a drawn vertex with 0 changes them, not the lattice
     rng = random.Random(7)
     for g in corpus:
         base = cycle_weight_profile(g)
@@ -162,7 +162,14 @@ def any_multigraphs(draw):
 @given(g=any_multigraphs())
 @example(g=DirectedMultigraph(0, ()))
 @example(g=DirectedMultigraph(3, ((0, 1), (1, 1))))
-def test_one_bfs_matches_the_tree_marking_walk(g):
+@example(
+    # a reversed chain builds a path-shaped union-find tree, 0 deepest, so
+    # the finds of the closing edge and the chord halve a long path
+    g=DirectedMultigraph(
+        8, tuple((i + 1, i) for i in range(7)) + ((0, 7), (3, 5))
+    )
+)
+def test_cycle_weights_match_the_tree_marking_walk(g):
     # the gcd over every edge equals the gcd over the non-tree edges, and
     # the edge count decides acyclicity, with the same errors in the same
     # order: no vertices, then not connected
@@ -179,15 +186,29 @@ def test_union_find_matches_the_breadth_first_walk(g):
     assert outcome(components, g) == outcome(bfs_components, g)
 
 
-def test_union_find_matches_the_breadth_first_walk_on_derived_graphs(corpus):
-    # every level of every corpus graph at p = 2, 3 up to 2,000 vertices
+def derived_levels(corpus):
+    """((name, p, n), level-n derived graph) for every level of every
+    corpus graph at p = 2, 3 up to 2,000 vertices."""
     for g in corpus:
         for p in (2, 3):
             n = 0
             while g.vertex_count * p**n <= 2000:
-                derived = derive(g, ConstantVoltage(p), n).graph
-                assert components(derived) == bfs_components(derived), (g.name, p, n)
+                yield (g.name, p, n), derive(g, ConstantVoltage(p), n).graph
                 n += 1
+
+
+def test_union_find_matches_the_breadth_first_walk_on_derived_graphs(corpus):
+    for key, derived in derived_levels(corpus):
+        assert components(derived) == bfs_components(derived), key
+
+
+def test_cycle_weights_match_the_tree_marking_walk_on_derived_graphs(corpus):
+    # deep union-find trees, whose potentials path halving must carry
+    # along, and disconnected levels past n0
+    for key, derived in derived_levels(corpus):
+        assert outcome(cycle_weight_profile, derived) == outcome(
+            tree_cycle_weight_profile, derived
+        ), key
 
 
 @st.composite

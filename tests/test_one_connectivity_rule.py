@@ -1,6 +1,9 @@
-"""One function, ``graph.require_connected``, decides that a graph is
-connected, by one union-find over the edge list; the undirected adjacency
-is built once per call, by the walks that need neighbours."""
+"""One function, ``graph.require_connected``, raises for a graph that is
+not connected, and every connectivity decision reads the roots of one
+union-find over the edge list; the undirected adjacency is built once per
+call, by the walks that need neighbours."""
+
+import ast
 
 import pytest
 
@@ -18,7 +21,7 @@ from voltage_tower import (
 )
 from voltage_tower import generators, graph, linalg
 
-from ast_guards import calls_or_raises
+from ast_guards import calls_or_raises, names, owners
 
 
 def test_not_connected_error_is_raised_only_by_require_connected():
@@ -29,6 +32,19 @@ def test_not_connected_error_is_raised_only_by_require_connected():
 
 def test_empty_graph_error_is_raised_only_by_components():
     assert calls_or_raises("EmptyGraphError") == {("graph.py", "components")}
+
+
+def test_one_union_find_serves_connectivity_and_the_cycle_weights():
+    # the components, the cycle weights' potentials and the oracle's
+    # spanning-tree test read roots off one union-find; no second walk
+    # decides connectivity
+    assert owners(
+        lambda node: isinstance(node, ast.Call) and "_union_find" in names(node.func)
+    ) == {
+        ("graph.py", "components"),
+        ("graph.py", "cycle_weight_profile"),
+        ("linalg.py", "brute_force_spanning_trees"),
+    }
 
 
 def test_the_rule_is_not_exported():

@@ -119,15 +119,11 @@ def per_vertex_map(node):
 
 
 def test_one_builder_writes_the_undirected_adjacency():
-    # the planner and the recognizers keep no neighbour map of their own;
-    # besides the adjacency, only the cycle weights' signed incidence is
-    # built per vertex, since the potentials need each edge's direction.
-    # The components are a union-find over the edge list, so only the
-    # walks that need neighbours read the adjacency
-    assert owners(per_vertex_map) == {
-        ("graph.py", "neighbours"),
-        ("graph.py", "cycle_weight_profile"),
-    }
+    # the planner and the recognizers keep no neighbour map of their own,
+    # and nothing else is built per vertex: the components and the cycle
+    # weights' potentials come from a union-find over the edge list, so
+    # only the walks that need neighbours read the adjacency
+    assert owners(per_vertex_map) == {("graph.py", "neighbours")}
     assert owners(
         lambda node: isinstance(node, ast.Call) and "neighbours" in names(node.func)
     ) == {
