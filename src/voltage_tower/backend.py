@@ -5,9 +5,9 @@ Step k of Bareiss elimination replaces every row i below the pivot by
 minor of the input, so every division is exact.
 
 ``replay_determinant`` serves every graph determinant: the charpoly's
-r - a + 1 evaluations of M(k) = Dk - Ak^2 - A^t, a the number of sources
-plus sinks, and the Kirchhoff count of M(1).  It follows a ``Schedule``,
-an elimination order and its fill planned once per graph by
+r - c + 1 evaluations of M(k) = Dk - Ak^2 - A^t, c the least x-order of a
+Leibniz term of det M(x), and the Kirchhoff count of M(1).  It follows a
+``Schedule``, an elimination order and its fill planned once per graph by
 ``linalg.elimination_schedule``, visits only the scheduled rows and
 columns, with lazy divisors for the rows a pivot leaves alone, and on a
 zero pivot with rows left to update returns None.  ``bareiss_determinant``,

@@ -5,9 +5,9 @@ power series det(D - A(1+T) - A^t(1+T)^(-1)).  Multiplying every row by
 (1+T), a unit power series, clears the denominators and leaves an honest
 integer polynomial P(T) = Q(1+T) of degree at most 2r, where Q(x) =
 det(Dx - Ax^2 - A^t) is palindromic; its half S, with Q(x) = x^r S(x +
-1/x), comes from r - a + 1 integer determinants, a the number of sources
-plus sinks.  mu and lambda drop out of the p-adic valuations of P's
-coefficients (Weierstrass preparation), and nu is fitted against
+1/x), comes from r - c + 1 integer determinants, c the least x-order of
+a Leibniz term of Q.  mu and lambda drop out of the p-adic valuations of
+P's coefficients (Weierstrass preparation), and nu is fitted against
 spanning-tree counts climbing the tower.
 
 The same polynomial gives those counts, with no derived graph built.  Up
@@ -21,8 +21,10 @@ the Laplacian splits over the characters of Z/p^n into
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .arith import check_cap, require_int, require_prime, valuation
@@ -91,13 +93,13 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     adjacency matrix (loops once), P(T) = Q(1 + T) for the cleared
     determinant Q(x) = det(Dx - Ax^2 - A^t).  Since x^2 M(1/x) = M(x)^t,
     Q(x) = x^(2r) Q(1/x) is palindromic, so Q(x) = x^r S(x + 1/x) with S
-    an integer polynomial, of degree at most d = r - a where a counts g's
-    sources and sinks (see :func:`_char_poly`), and d + 1 integer
-    determinants pin it down: Q(k) at k = -1, 2, -2, 3, ...  With L the
-    lcm of the |k|, S_L(z) = L^d S(z / L) has integer coefficients s_j
-    L^(d-j) and takes the integer value (L/k)^d Q(k)/k^a at the integer
-    node z = (k^2 + 1) L/k, so integer Newton interpolation recovers it and
-    exact divisions give the s_j.  Each M(k), k != 0, has the off-diagonal
+    an integer polynomial, of degree at most d = r - c where c is the
+    least x-order of a Leibniz term of Q (see :func:`_char_poly`), and
+    d + 1 integer determinants pin it down: Q(k) at k = -1, 2, -2, 3, ...
+    With L the lcm of the |k|, S_L(z) = L^d S(z / L) has integer
+    coefficients s_j L^(d-j) and takes the integer value (L/k)^d Q(k)/k^c
+    at the integer node z = (k^2 + 1) L/k, so integer Newton interpolation
+    recovers it and exact divisions give the s_j.  Each M(k), k != 0, has the off-diagonal
     pattern of g's non-loop edges taken both ways, so one schedule,
     planned on the edge list, is replayed on all of them.  A k whose
     replay meets a zero pivot is skipped for the next, and L is the lcm of
@@ -116,7 +118,7 @@ def char_poly(g: DirectedMultigraph) -> IntPolynomial:
     """
     schedule = _charpoly_schedule(g)
     require_connected(g)
-    return _char_poly(g, schedule)
+    return _char_poly(g, schedule)[0]
 
 
 def _charpoly_schedule(g: DirectedMultigraph) -> Schedule:
@@ -130,31 +132,99 @@ def _charpoly_schedule(g: DirectedMultigraph) -> Schedule:
     return elimination_schedule(g)
 
 
-def _char_poly(g: DirectedMultigraph, schedule: Schedule) -> IntPolynomial:
-    """:func:`char_poly` of a connected ``g`` on its ``schedule``.
+def _least_x_order(m0: list[list[int]], m1: list[list[int]]) -> int:
+    """c = the least sum_i ord_x M(x)[i][sigma(i)] over the permutations
+    sigma, M(x) = Dx - Ax^2 - A^t, read off m0 = M(0) and m1 = M(-1); r +
+    1 when every sigma meets a zero entry, so that Q = 0 and r - c = -1.
 
-    A source (in-degree 0, a loop counting as an in-edge and an out-edge)
-    has a_vu = 0 for every v, so its row of M(x) = Dx - Ax^2 - A^t holds
-    D_u x and -a_uv x^2: x divides it.  A sink has a_vw = 0 for every w, so
-    x divides its column the same way, and where a source's row meets a
-    sink's column the entry is -a_uv x^2 (0 on the diagonal, where the
-    vertex has no edge at all).  Every term of the Leibniz expansion takes
-    one entry from each row and each column, so x^a divides Q with a =
-    #sources + #sinks.  As Q(x) = x^r S(x + 1/x) has order r - deg S at
-    0, S has degree at most d = r - a, and d + 1 nodes determine it; a
-    Q(k) that k^a does not divide breaks the argument and is an error.
+    An entry's order is 0 where M(0) = -A^t is nonzero; elsewhere, where
+    M(-1) = -D - A - A^t is nonzero (no sign cancels), it is 1 on the
+    diagonal (D_ii x) and 2 off it (-a_ij x^2).  The least sum is an
+    assignment problem, solved on reduced orders ord + u_i - v_j >= 0 that
+    are 0 on every row's column.  At the start u_i = -1 on a zero row of
+    M(0) (a source), v_j = 1 on a zero column (a sink), and both are 0
+    elsewhere, so sum v - sum u counts the sources and sinks.  Rows take
+    free columns of reduced order 0 greedily, each row left takes a
+    shortest augmenting path (Dijkstra), the potentials move by the
+    distances found, and c is sum v - sum u at the end.
+    """
+    r = len(m1)
+    everything = range(r)
+    row_pot = [any(r0) - 1 for r0 in m0]
+    col_pot = [1 - any(col) for col in zip(*m0)]
+    col_of, row_of = [-1] * r, [-1] * r
+    free = []
+    for i, u, r0, r1 in zip(everything, row_pot, m0, m1):
+        for j in compress(everything, r1):
+            order = 0 if r0[j] else 1 if i == j else 2
+            if row_of[j] < 0 and order + u == col_pot[j]:
+                col_of[i], row_of[j] = j, i
+                break
+        else:
+            free.append(i)
+    for start in free:
+        dist, via, heap, settled = [math.inf] * r, [-1] * r, [], {}
+        i, top = start, 0
+        while True:
+            u, r0 = top + row_pot[i], m0[i]
+            for j in compress(everything, m1[i]):
+                dj = u + (0 if r0[j] else 1 if i == j else 2) - col_pot[j]
+                if dj < dist[j] and j not in settled:
+                    dist[j], via[j] = dj, i
+                    heapq.heappush(heap, (dj, j))
+            while heap and heap[0][1] in settled:
+                heapq.heappop(heap)  # left behind by a cheaper entry
+            if not heap:
+                return r + 1
+            top, j = heapq.heappop(heap)
+            settled[j] = top
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        # a row reached through its column is as far as that column
+        row_pot[start] -= top
+        for col, d in settled.items():
+            col_pot[col] += d - top
+            if row_of[col] >= 0:
+                row_pot[row_of[col]] += d - top
+        while True:  # flip the path back from the free column j
+            i = via[j]
+            col_of[i], row_of[j], j = j, i, col_of[i]
+            if i == start:
+                break
+    return sum(col_pot) - sum(row_pot)
+
+
+def _char_poly(
+    g: DirectedMultigraph, schedule: Schedule
+) -> tuple[IntPolynomial, list[int]]:
+    """:func:`char_poly` of a connected ``g`` on its ``schedule``, with
+    the coefficients of Q(x) = P(x - 1), x^0 first, from which P came.
+
+    The term of the Leibniz expansion of Q = det M(x) at a permutation
+    sigma is +-prod_i M(x)[i][sigma(i)], whose x-order is the sum of its
+    factors' orders.  With c the least such sum over the permutations
+    (:func:`_least_x_order`), x^c divides every term and so Q.  Q(x) =
+    x^r S(x + 1/x) = sum_j s_j x^(r-j) (x^2 + 1)^j has order r - deg S at
+    0, so S has degree at most d = r - c, and d + 1 nodes determine it; a
+    Q(k) that k^c does not divide breaks the argument and is an error.  A
+    source's row of M(x) and a sink's column hold no entry of order 0, so
+    c is at least the number of sources plus sinks.  The one-vertex graph
+    with no edge has no permutation with nonzero entries: Q = 0, c = r + 1,
+    and no node is replayed.
     """
     r = g.vertex_count
-    prof = degree_profile(g)
-    a = prof.in_deg.count(0) + prof.out_deg.count(0)
-    d = r - a
+    first = _cleared_matrix(g, -1)  # the first node, read for the orders
+    c = _least_x_order(_cleared_matrix(g, 0), first)
+    d = r - c
     nodes = []
     # k = -1, 2, -2, 3, ...: k + 1/k is one-to-one on them, and 1 is not one
     for i in range(1, r * r + 2):
         if len(nodes) > d:
             break
         k = (-1) ** i * (i // 2 + 1)
-        det = replay_determinant(schedule, _cleared_matrix(g, k))
+        m = first if i == 1 else _cleared_matrix(g, k)
+        det = replay_determinant(schedule, m)
         if det is not None:
             nodes.append((k, det))
     if len(nodes) <= d:
@@ -163,10 +233,10 @@ def _char_poly(g: DirectedMultigraph, schedule: Schedule) -> IntPolynomial:
     zs = [(k * k + 1) * (big // k) for k, _ in nodes]
     ws = []
     for k, det in nodes:
-        w, rem = divmod(det, k**a)
+        w, rem = divmod(det, k**c)
         if rem:
             raise StructureViolationError(
-                f"Q(k) at k = {k} is not divisible by k^{a}"
+                f"Q(k) at k = {k} is not divisible by k^{c}"
             )
         ws.append((big // k) ** d * w)
     s_hat = _interpolate_integer(zs, ws)
@@ -178,11 +248,11 @@ def _char_poly(g: DirectedMultigraph, schedule: Schedule) -> IntPolynomial:
                 f"x^r S(x + 1/x): coefficient of z^{j} is not an integer"
             )
         s.append(s_j)
-    s += [0] * (r - d)  # s_{d+1}, ..., s_r
-    # homogeneous Horner: Q <- Q (x^2 + 1) + s_j x^(r-j), j = r..0
+    # homogeneous Horner: Q <- Q (x^2 + 1) + s_j x^(r-j), j = d..0, with
+    # Q on the degrees r - d .. r + d - 2j
     q = [0] * (2 * r + 1)
-    for j in range(r, -1, -1):
-        for i in range(2 * r, 1, -1):
+    for j in range(d, -1, -1):
+        for i in range(r + d - 2 * j, r - d + 1, -1):
             q[i] += q[i - 2]
         q[r - j] += s[j]
     p = IntPolynomial(q).taylor_shift(1)
@@ -191,7 +261,7 @@ def _char_poly(g: DirectedMultigraph, schedule: Schedule) -> IntPolynomial:
         raise StructureViolationError(
             "characteristic polynomial is not divisible by T^2"
         )
-    return p
+    return p, q
 
 
 def weierstrass(poly: IntPolynomial, p: int) -> tuple[int, int]:
@@ -227,7 +297,7 @@ def invariants(g: DirectedMultigraph, p: int) -> IwasawaInvariants:
     """
     require_prime(p)
     n0 = require_tower(g, p)
-    return _invariants_at(_char_poly(g, _charpoly_schedule(g)), p, n0)
+    return _invariants_at(_char_poly(g, _charpoly_schedule(g))[0], p, n0)
 
 
 def _invariants_at(poly: IntPolynomial, p: int, n0: int) -> IwasawaInvariants:
@@ -278,18 +348,18 @@ def verify_growth(
     if n_max < n0 + 2:
         raise ValueError(f"n_max must be at least n0 + 2 = {n0 + 2}")
     schedule = _charpoly_schedule(g)
-    inv = _invariants_at(_char_poly(g, schedule), p, n0)
+    poly, cleared = _char_poly(g, schedule)
+    inv = _invariants_at(poly, p, n0)
     q = p**n0
-    shifted = inv.charpoly.taylor_shift(-1).coefficients
-    e = next(i for i, c in enumerate(shifted) if c)
-    if any(c for i, c in enumerate(shifted) if (i - e) % q):
+    e = next(i for i, c in enumerate(cleared) if c)
+    if any(c for i, c in enumerate(cleared) if (i - e) % q):
         raise StructureViolationError(
             f"Q(x) = P(x - 1) is not x^{e} R(x^{q})"
         )
     kappa = _kappa(g, schedule)
     records = [(n0, q, kappa, valuation(kappa, p))]
     resultants = cyclotomic_resultants(
-        IntPolynomial(shifted[e::q]), p, n_max - n0
+        IntPolynomial(cleared[e::q]), p, n_max - n0
     )
     for n, res in enumerate(resultants, n0 + 1):
         kappa, rem = divmod(kappa * res, p)

@@ -65,12 +65,13 @@ DERIVED_VERTEX_CAP = 100_000
 # at the vertex cap.  A one-vertex base with many loops stays within the
 # vertex cap at any level, so its edges need a cap of their own.
 DERIVED_EDGE_CAP = 500_000
-# Base vertices r of a characteristic polynomial, r - a + 1 replays of one
-# elimination schedule on r x r matrices, a the number of sources plus
-# sinks (0 for the complete digraph): at r = 64, 0.35 s for a random graph
-# with 128 edges (timed with r + 1 replays) and 2.9 s for the complete
-# digraph, whose scheduled fill is 85,344 entries against 4,198 (2-vCPU VM,
-# Python 3.11).  The cost follows the fill, so dense graphs set the cap.
+# Base vertices r of a characteristic polynomial, r - c + 1 replays of one
+# elimination schedule on r x r matrices, c the least x-order of a Leibniz
+# term of det M(x) (0 for the complete digraph): at r = 64, 0.35 s for a
+# random graph with 128 edges (timed with r + 1 replays) and 2.9 s for the
+# complete digraph, whose scheduled fill is 85,344 entries against 4,198
+# (2-vCPU VM, Python 3.11).  The cost follows the fill, so dense graphs set
+# the cap.
 CHARPOLY_VERTEX_CAP = 64
 
 

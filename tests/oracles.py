@@ -583,6 +583,37 @@ def charpoly_2r_plus_1(g: DirectedMultigraph) -> IntPolynomial:
     return poly_matrix_determinant([c0, c1, c2])
 
 
+def least_x_order(g: DirectedMultigraph) -> Optional[int]:
+    """The least x-order of a Leibniz term of Q(x) = det(Dx - Ax^2 - A^t):
+    the minimum over all permutations sigma of sum_i ord_x M(x)[i][sigma(i)],
+    each entry's coefficients of 1, x and x^2 read off the edge list (D
+    counts a loop twice, A once).  None when every permutation meets a zero
+    entry.  Every permutation is tried, row by row, with the permutations
+    that agree on which columns rows 0..i-1 take merged at row i, keeping
+    the least sum: exponential in r, meant for r <= 7 and the test corpus."""
+    r = g.vertex_count
+    entry = [[[0, 0, 0] for _ in range(r)] for _ in range(r)]
+    for s, t in g.edges:
+        entry[s][s][1] += 1
+        entry[t][t][1] += 1
+        entry[s][t][2] -= 1
+        entry[t][s][0] -= 1
+    orders = [
+        [next((o for o, c in enumerate(e) if c), None) for e in row]
+        for row in entry
+    ]
+    least = {frozenset(): 0}  # columns taken so far -> least sum
+    for row in orders:
+        ahead = {}
+        for taken, total in least.items():
+            for j, order in enumerate(row):
+                if order is not None and j not in taken:
+                    key = taken | {j}
+                    ahead[key] = min(ahead.get(key, math.inf), total + order)
+        least = ahead
+    return min(least.values(), default=None)
+
+
 # Polynomial arithmetic on ascending coefficient sequences, as IntPolynomial's
 # operators had it.  Results are tuples with trailing zeros trimmed, so
 # IntPolynomial(result) holds the same coefficients.

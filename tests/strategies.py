@@ -41,6 +41,21 @@ def looped_multigraphs(draw):
 
 
 @st.composite
+def paired_multigraphs(draw):
+    """Multigraphs on 1 to 7 vertices, connected or not, whose drawn edges
+    may come with a loop, a parallel copy or an antiparallel partner, in
+    shuffled edge order."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = []
+    for s, t in draw(st.lists(st.tuples(vertex, vertex), max_size=8)):
+        edges.append((s, t))
+        # nothing, a loop, a parallel copy or an antiparallel partner
+        edges += draw(st.sampled_from(([], [(s, s)], [(s, t)], [(t, s)])))
+    return DirectedMultigraph(n, tuple(draw(st.permutations(edges))))
+
+
+@st.composite
 def sourced_multigraphs(draw):
     """Connected multigraphs on 1 to 6 vertices, each a source (no in-edge,
     so no loop), a sink (no out-edge) or free, with a loop on a free vertex

@@ -644,7 +644,7 @@ def test_a_claimed_vertex_count_over_the_cap_exits_6_at_once(tmp_path, capsys):
 
 
 def test_a_charpoly_over_its_cap_exits_6_at_once(tmp_path, capsys, monkeypatch):
-    # r - a + 1 replayed r x r determinants: a 50,000-vertex cycle is within
+    # r - c + 1 replayed r x r determinants: a 50,000-vertex cycle is within
     # the document cap but must not reach the planner or a matrix
     def no_matrix(*args):
         raise AssertionError("a matrix was built")

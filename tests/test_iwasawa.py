@@ -45,6 +45,7 @@ from voltage_tower.tower import CHARPOLY_VERTEX_CAP
 from oracles import (
     charpoly_2r_plus_1,
     fit_growth_parameters,
+    least_x_order,
     loop_valuation,
     poly_add,
     poly_eval,
@@ -56,6 +57,7 @@ from oracles import (
 from strategies import (
     connected_multigraphs,
     looped_multigraphs,
+    paired_multigraphs,
     sourced_multigraphs,
     weights_divisible_by,
 )
@@ -130,7 +132,7 @@ def test_char_poly_palindromy_and_double_root(g):
 @given(g=connected_multigraphs(), data=st.data())
 def test_char_poly_matches_the_cleared_matrix_off_the_nodes(g, data):
     # the cleared matrix D(1+x) - A(1+x)^2 - A^t, built entry by entry;
-    # the r - a + 1 evaluation points 1 + T = -1, 2, -2, ... lie in
+    # the r - c + 1 evaluation points 1 + T = -1, 2, -2, ... lie in
     # [-(r + 2), r + 2], so 1 + x does not hit one
     r = g.vertex_count
     x = data.draw(
@@ -191,12 +193,14 @@ def test_char_poly_rejects_a_half_that_is_not_integral(monkeypatch):
 
 
 def spy_on_the_nodes(monkeypatch):
-    """(ks, dets), filled as char_poly runs: each k it builds M(k) for
-    and each replay's result, None for a skipped node."""
+    """(ks, dets), filled as char_poly runs: each node k it builds M(k) for
+    and each replay's result, None for a skipped node.  M(0), read for the
+    x-orders only, is no node."""
     ks, dets = [], []
 
     def spied_matrix(g, k, real=linalg._cleared_matrix):
-        ks.append(k)
+        if k:
+            ks.append(k)
         return real(g, k)
 
     def spied_replay(schedule, m):
@@ -208,35 +212,41 @@ def spy_on_the_nodes(monkeypatch):
     return ks, dets
 
 
-def sources_and_sinks(g):
-    prof = degree_profile(g)
-    return prof.in_deg.count(0) + prof.out_deg.count(0)
+def least_order(g):
+    """c, the least x-order of a Leibniz term of Q, from the oracle; r + 1
+    when every term vanishes, as the library counts it."""
+    c = least_x_order(g)
+    return g.vertex_count + 1 if c is None else c
+
+
+# graphs besides the corpus whose nodes the corruption tests also take
+MORE_NODES = (directed_cycle(7), doubled(directed_cycle(6)))
 
 
 @pytest.mark.parametrize(
     "offset, error, match",
     [
-        # off by k^a: no integer S_L fits the r - a + 1 values, unless the
+        # off by k^c: no integer S_L fits the r - c + 1 values, unless the
         # spike (L/k)^d it puts on S_L is a multiple of prod (z_i - z_j)
         ("one", NonIntegralInterpolationError, "divided difference"),
-        # off by k^a prod (z_i - z_j): S_L stays integral, but S or T^2 | P
+        # off by k^c prod (z_i - z_j): S_L stays integral, but S or T^2 | P
         # fails
         ("nodes", StructureViolationError, None),
-        # off by k^a L^d prod (z_i - z_j): S stays integral, but S(2) != 0
+        # off by k^c L^d prod (z_i - z_j): S stays integral, but S(2) != 0
         ("nodes_L", StructureViolationError, "T\\^2"),
     ],
 )
 def test_char_poly_rejects_one_corrupted_evaluation(
     monkeypatch, corpus, offset, error, match
 ):
-    # one determinant corrupted, at each of the d + 1 = r - a + 1 nodes k
-    # used in turn, a counting sources and sinks; the interpolation nodes
-    # are z = (k^2 + 1) L/k with L = lcm |k|, and each offset is a multiple
-    # of k^a, so Q(k) / k^a takes the offset over k^a
+    # one determinant corrupted, at each of the d + 1 = r - c + 1 nodes k
+    # used in turn, c the least x-order of a Leibniz term of Q; the
+    # interpolation nodes are z = (k^2 + 1) L/k with L = lcm |k|, and each
+    # offset is a multiple of k^c, so Q(k) / k^c takes the offset over k^c
     checked = 0
-    for g in corpus:
-        a = sources_and_sinks(g)
-        d = g.vertex_count - a
+    for g in (*corpus, *MORE_NODES):
+        c = least_order(g)
+        d = g.vertex_count - c
         ks, dets = spy_on_the_nodes(monkeypatch)
         char_poly(g)
         monkeypatch.undo()
@@ -251,7 +261,7 @@ def test_char_poly_rejects_one_corrupted_evaluation(
             if offset == "one" and (big // used[bad]) ** d % delta == 0:
                 continue  # an integer S_L fits the corrupted values
             delta = {"one": 1, "nodes": delta, "nodes_L": delta * big**d}[offset]
-            delta *= used[bad] ** a
+            delta *= used[bad] ** c
             calls = itertools.count()
 
             def corrupted(schedule, m, calls=calls, at=positions[bad], delta=delta):
@@ -267,14 +277,14 @@ def test_char_poly_rejects_one_corrupted_evaluation(
     assert checked >= 130
 
 
-def test_char_poly_rejects_an_evaluation_that_k_to_the_a_does_not_divide(
+def test_char_poly_rejects_an_evaluation_that_k_to_the_c_does_not_divide(
     monkeypatch, corpus
 ):
-    # x^a divides Q, so Q(k) + 1 is off the lattice k^a Z at every node
-    # with |k| >= 2 once a graph has a source or a sink
+    # x^c divides Q, so Q(k) + 1 is off the lattice k^c Z at every node
+    # with |k| >= 2 once c >= 1
     checked = 0
     for g in corpus:
-        if sources_and_sinks(g) == 0:
+        if least_order(g) == 0:
             continue
         ks, dets = spy_on_the_nodes(monkeypatch)
         char_poly(g)
@@ -295,6 +305,41 @@ def test_char_poly_rejects_an_evaluation_that_k_to_the_a_does_not_divide(
     assert checked >= 20
 
 
+@settings(max_examples=150, deadline=None)
+@given(g=paired_multigraphs())
+# the path 0 -> 1 -> 2: c = 3, each permutation with nonzero entries taking
+# its diagonal's x, 2x and x, or -x^2 and -1 in place of two of them
+@example(g=DirectedMultigraph(3, ((0, 1), (1, 2))))
+def test_least_x_order_matches_the_oracle(g):
+    m0, m1 = _cleared_matrix(g, 0), _cleared_matrix(g, -1)
+    assert iwasawa._least_x_order(m0, m1) == least_order(g)
+
+
+def test_least_x_order_is_at_most_the_order_of_q(corpus):
+    # x^c divides Q, so c <= ord_0 Q, read off the 2r + 1 node oracle
+    for g in corpus:
+        q = charpoly_2r_plus_1(g).taylor_shift(-1)
+        order = next((i for i, x in enumerate(q) if x), math.inf)
+        m0, m1 = _cleared_matrix(g, 0), _cleared_matrix(g, -1)
+        assert iwasawa._least_x_order(m0, m1) <= order, g.name
+
+
+def test_char_poly_replays_r_minus_c_plus_1_nodes_and_the_skipped(
+    monkeypatch, corpus
+):
+    # c from the oracle: a weaker bound replays more nodes than this pins
+    # (the count of sources and sinks in place of c replays 142)
+    expected, replayed = [], []
+    for g in corpus:
+        _, dets = spy_on_the_nodes(monkeypatch)
+        char_poly(g)
+        monkeypatch.undo()
+        expected.append(g.vertex_count - least_order(g) + 1 + dets.count(None))
+        replayed.append(len(dets))
+    assert replayed == expected
+    assert sum(replayed) == 130
+
+
 def test_char_poly_skips_a_node_with_a_zero_pivot(monkeypatch):
     # vertex 0, with total degree 5, two loops and one neighbour, is
     # eliminated first; its pivot 5k - 2(k^2 + 1) vanishes at k = 2 only,
@@ -313,9 +358,10 @@ def test_char_poly_skips_a_node_with_a_zero_pivot(monkeypatch):
 
 
 def test_char_poly_of_the_transitive_triangle_takes_two_nodes(monkeypatch):
-    # 0 -> 1, 0 -> 2, 1 -> 2: 0 is a source and 2 a sink, so a = 2 and
+    # 0 -> 1, 0 -> 2, 1 -> 2: every Leibniz term of Q has x-order at least
+    # c = 2, the term of the 3-cycle (0 2 1) taking -x^2, -1 and -1, and
     # Q(x) = -x^2 (x - 1)^2 = x^3 S(x + 1/x) with S(z) = 2 - z of degree
-    # d = r - a = 1
+    # d = r - c = 1
     g = DirectedMultigraph(3, ((0, 1), (0, 2), (1, 2)))
     expected = charpoly_2r_plus_1(g)
     assert expected == IntPolynomial((0, 0, -1, -2, -1))
@@ -337,7 +383,7 @@ def test_char_poly_matches_the_oracle_with_loops_and_parallel_edges(g):
 
 @settings(max_examples=100, deadline=None)
 @given(g=sourced_multigraphs())
-# two sources and a sink: d = 0, and Q = 0 from one node
+# two sources and a sink: c = r = 3, d = 0, and Q = 0 from one node
 @example(g=DirectedMultigraph(3, ((0, 1), (2, 1), (0, 1))))
 def test_char_poly_matches_the_oracle_with_sources_and_sinks(g):
     assert char_poly(g) == charpoly_2r_plus_1(g)
@@ -629,11 +675,11 @@ def test_verify_growth_rejects_a_charpoly_not_decimated_by_p_to_the_n0(
 ):
     # the 3-cycle at p = 3 has n0 = 1 and Q(x) = -(x^3 - 1)^2; adding 9T^2
     # keeps (mu, lambda) = (0, 1) but puts -18x + 9x^2 into Q
-    real = char_poly(directed_cycle(3))
+    wrong = IntPolynomial(poly_add(char_poly(directed_cycle(3)), (0, 0, 9)))
     monkeypatch.setattr(
         iwasawa,
         "_char_poly",
-        lambda g, schedule: IntPolynomial(poly_add(real, (0, 0, 9))),
+        lambda g, schedule: (wrong, list(wrong.taylor_shift(-1))),
     )
     assert invariants(directed_cycle(3), 3).lam == 1
     with pytest.raises(StructureViolationError, match="R\\(x\\^3\\)"):
@@ -741,18 +787,20 @@ def test_check_theorem_hypotheses_refuses_a_graph_over_the_cap_before_any_matrix
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, profile_count",
     [
-        lambda g: verify_growth(g, 3, 3),
-        lambda g: invariants(g, 3),
-        lambda g: check_theorem_hypotheses(g, 3),
+        (lambda g: verify_growth(g, 3, 3), 0),
+        (lambda g: invariants(g, 3), 0),
+        (lambda g: check_theorem_hypotheses(g, 3), 1),
     ],
     ids=["verify_growth", "invariants", "check_theorem_hypotheses"],
 )
-def test_each_entry_point_plans_once_and_runs_one_union_find(call, monkeypatch):
+def test_each_entry_point_plans_once_and_runs_one_union_find(
+    call, profile_count, monkeypatch
+):
     # the cycle weights give n0 and connectivity, one schedule serves the
     # characteristic polynomial and kappa, and one degree profile serves
-    # the sources and sinks and the degree tests
+    # the degree tests; the charpoly reads its x-orders off M(0) and M(-1)
     plans, finds, profiles = [], [], []
     plan, find = linalg.elimination_schedule, graph._union_find
     profile = graph.degree_profile
@@ -778,7 +826,7 @@ def test_each_entry_point_plans_once_and_runs_one_union_find(call, monkeypatch):
     monkeypatch.setattr(iwasawa, "degree_profile", counted_profile)
     # the 3-cycle at p = 3: n0 = 1, balanced, and kappa = 3 is reached
     call(directed_cycle(3))
-    assert (len(plans), len(finds), len(profiles)) == (1, 1, 1)
+    assert (len(plans), len(finds), len(profiles)) == (1, 1, profile_count)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3, True, 2.0])
