@@ -86,13 +86,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     g = documents.read_graph(args.input)
-    if args.n_max is None:
-        report = None
-        inv = invariants(g, args.p)
-    else:
-        report = verify_growth(g, args.p, args.n_max)
-        inv = report.invariants
-    doc = documents.invariants_to_document(inv, report)
+    doc = documents.invariants_to_document(invariants(g, args.p))
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK
 
@@ -188,12 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="Iwasawa invariants of the tower")
     p_inv.add_argument("-i", "--input", required=True)
     p_inv.add_argument("--p", type=int, required=True)
-    p_inv.add_argument(
-        "--n-max",
-        type=int,
-        default=None,
-        help="embed a tower report up to this level",
-    )
     p_inv.add_argument("-o", "--output")
 
     p_verify = sub.add_parser(

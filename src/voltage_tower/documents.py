@@ -22,7 +22,7 @@ import decimal
 import json
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Any
 
 from .arith import check_cap
 from .errors import DocumentError
@@ -137,7 +137,7 @@ def read_graph(path: str) -> DirectedMultigraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise DocumentError(f"invalid JSON: {exc}") from exc
     return graph_from_document(doc)
 
@@ -208,10 +208,8 @@ def tower_report_to_document(report: TowerReport) -> dict[str, Any]:
     }
 
 
-def invariants_to_document(
-    inv: IwasawaInvariants, tower_report: Optional[TowerReport] = None
-) -> dict[str, Any]:
-    doc: dict[str, Any] = {
+def invariants_to_document(inv: IwasawaInvariants) -> dict[str, Any]:
+    return {
         "schema": INVARIANTS_SCHEMA,
         "p": inv.p,
         "n0": inv.n0,
@@ -221,9 +219,6 @@ def invariants_to_document(
         "lambda_total": inv.lam_total,
         "charpoly": [decimal_str(c) for c in inv.charpoly],
     }
-    if tower_report is not None:
-        doc["tower_report"] = tower_report_to_document(tower_report)
-    return doc
 
 
 def graph_to_dot(g: DirectedMultigraph) -> str:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -396,17 +397,23 @@ def test_invariants_command(tmp_path, capsys):
     assert doc["schema"] == "voltage-tower/invariants-v1"
     assert (doc["mu"], doc["lambda"], doc["n0"]) == (0, 1, 0)
     assert doc["charpoly"][0] == "0"
-    assert "tower_report" not in doc
+    assert set(doc) == {
+        "schema", "p", "n0", "mu", "lambda", "mu_total", "lambda_total",
+        "charpoly",
+    }
 
+    # the tower's levels come from verify, which agrees on n0, mu and lambda
     code, stdout, _ = run(
-        ["invariants", "-i", str(src), "--p", "3", "--n-max", "2"], capsys
+        ["verify", "-i", str(src), "--p", "3", "--n-max", "2", "--json"],
+        capsys,
     )
     assert code == 0
-    doc = json.loads(stdout)
-    kappas = [
-        lvl["kappa_per_component"] for lvl in doc["tower_report"]["levels"]
-    ]
+    report = json.loads(stdout)
+    kappas = [lvl["kappa_per_component"] for lvl in report["levels"]]
     assert kappas == ["4", "12", "36"]
+    assert [report[k] for k in ("mu", "lambda", "n0")] == [
+        doc[k] for k in ("mu", "lambda", "n0")
+    ]
 
 
 def test_invariants_bouquet_and_tree(tmp_path, capsys):
@@ -437,7 +444,6 @@ def test_invariants_rejects_composite_p(tmp_path, capsys):
     write_graph(bouquet(2), str(src))
     for argv in (
         ["invariants", "-i", str(src), "--p", "4"],
-        ["invariants", "-i", str(src), "--p", "4", "--n-max", "2"],
         ["verify", "-i", str(src), "--p", "4", "--n-max", "2"],
     ):
         code, stdout, err = run(argv, capsys)
@@ -513,6 +519,29 @@ def test_a_deeply_nested_document_exits_2(tmp_path, capsys):
         assert err.startswith("error: invalid JSON: maximum recursion depth")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # an integer past the interpreter's int <- str digit limit
+        json.dumps(graph_to_document(directed_cycle(3))).replace(
+            '"vertex_count": 3', '"vertex_count": 1' + "0" * 4999
+        ).encode(),
+        b"\xff\xfe",  # not UTF-8
+    ],
+    ids=["5000-digit-integer", "not-utf-8"],
+)
+def test_a_value_error_from_the_json_reader_exits_2(text, tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_bytes(text)
+    with pytest.raises(DocumentError, match="^invalid JSON: "):
+        read_graph(str(src))
+    for argv in graph_reading_commands(src):
+        code, stdout, err = run(argv, capsys)
+        assert code == 2, argv
+        assert stdout == ""
+        assert err.startswith("error: invalid JSON: "), argv
+
+
 def test_verify_command(tmp_path, capsys):
     src = tmp_path / "v.json"
     run(
@@ -553,6 +582,26 @@ def test_verify_command(tmp_path, capsys):
     assert doc["fitted_nu"] == 0
 
 
+def test_every_readme_command_line_parses():
+    # an option the parser no longer has must not stay advertised
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI\n\n```sh\n", 1)[1]
+    lines = [
+        line for line in block.split("```", 1)[0].splitlines()
+        if line.startswith("voltage-tower ")
+    ]
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            commands.add(cli.build_parser().parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"the README line does not parse: {line}")
+    assert commands == {
+        "gen", "derive", "invariants", "verify", "export-dot", "oracle"
+    }
+
+
 def test_verify_and_invariants_compute_the_charpoly_once(
     tmp_path, capsys, monkeypatch
 ):
@@ -570,7 +619,6 @@ def test_verify_and_invariants_compute_the_charpoly_once(
     for argv in (
         ["verify", *base, "--n-max", "3"],
         ["verify", *base, "--n-max", "3", "--json"],
-        ["invariants", *base, "--n-max", "3"],
         ["invariants", *base],
     ):
         calls.clear()
@@ -617,7 +665,6 @@ def test_size_cap_exits_6_at_once(tmp_path, capsys):
         ["derive", "-i", str(src), "--p", "2", "--level", "40"],
         ["derive", "-i", str(src), "--p", "3", "--level", "1000000000"],
         ["verify", "-i", str(src), "--p", "1000003", "--n-max", "2"],
-        ["invariants", "-i", str(src), "--p", "2", "--n-max", "40"],
     ):
         code, stdout, err = run(argv, capsys)
         assert code == 6, argv
@@ -658,7 +705,6 @@ def test_a_charpoly_over_its_cap_exits_6_at_once(tmp_path, capsys, monkeypatch):
     write_graph(directed_cycle(tower.CHARPOLY_VERTEX_CAP + 1), str(small))
     for argv in (
         ["invariants", "-i", str(big), "--p", "2"],
-        ["invariants", "-i", str(small), "--p", "2", "--n-max", "2"],
         ["verify", "-i", str(small), "--p", "2", "--n-max", "2"],
     ):
         code, stdout, err = run(argv, capsys)
@@ -694,11 +740,9 @@ def test_integers_past_the_int_str_digit_limit_serialise():
 
     doc = tower_report_to_document(report)
     assert doc["levels"][0]["kappa_per_component"] == kappa_digits
-    doc = invariants_to_document(inv, report)
+    json.dumps(doc)
+    doc = invariants_to_document(inv)
     assert doc["charpoly"] == ["0", "0", coeff_digits]
-    assert doc["tower_report"]["levels"][0]["kappa_per_component"] == (
-        kappa_digits
-    )
     json.dumps(doc)
     assert kappa_digits in _report_table(report)
 
@@ -771,14 +815,12 @@ def test_verify_rejects_small_n_max(tmp_path, capsys, monkeypatch):
         iwasawa.verify_growth(directed_cycle(3), 3, 2)
     src = tmp_path / "c.json"
     write_graph(directed_cycle(3), str(src))
-    for argv in (
-        ["verify", "-i", str(src), "--p", "3", "--n-max", "2"],
-        ["invariants", "-i", str(src), "--p", "3", "--n-max", "2"],
-    ):
-        code, stdout, err = run(argv, capsys)
-        assert code == 2, argv
-        assert stdout == ""
-        assert err == "error: n_max must be at least n0 + 2 = 3\n"
+    code, stdout, err = run(
+        ["verify", "-i", str(src), "--p", "3", "--n-max", "2"], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: n_max must be at least n0 + 2 = 3\n"
 
 
 def test_export_dot(tmp_path, capsys):
@@ -949,13 +991,20 @@ def test_later_calls_construct_no_parser(tmp_path, capsys, monkeypatch):
     assert built == []
 
 
+def test_invariants_takes_no_n_max(tmp_path, capsys):
+    # verify is the one command that climbs a tower
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    with pytest.raises(SystemExit) as exited:
+        main(["invariants", "-i", str(src), "--p", "3", "--n-max", "3"])
+    assert exited.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.endswith("error: unrecognized arguments: --n-max 3\n")
+
+
 def test_no_option_carries_over_to_the_next_call(tmp_path, capsys):
     src = tmp_path / "c3.json"
     write_graph(directed_cycle(3), str(src))
-    inv = ["invariants", "-i", str(src), "--p", "3"]
-    assert "tower_report" in json.loads(run(inv + ["--n-max", "3"], capsys)[1])
-    assert "tower_report" not in json.loads(run(inv, capsys)[1])
-
     verify = ["verify", "-i", str(src), "--p", "2", "--n-max", "2"]
     assert json.loads(run(verify + ["--json"], capsys)[1])["levels"]
     code, stdout, _ = run(verify, capsys)
