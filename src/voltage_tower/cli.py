@@ -14,12 +14,21 @@ a tower level, on an input graph's vertex count or on a gen family, the
 derived-edge cap of derive or of a gen family, the vertex cap of the
 characteristic polynomial behind invariants and verify, or a p above
 2^32).  A library error's code is the ``exit_code`` of its class.
+
+``main`` runs the handler with the cyclic garbage collector paused and
+puts back the state it found.  A command's success path makes no
+reference cycle in proportion to its input: gen, derive, export-dot and
+oracle make none, and a JSON report leaves only the encoder's fixed few
+and one per ``decimal_str`` call past its leaf size, freed by the next
+collection after the command.  So a collection during a command only
+scans: on a derived level of 10k-20k vertices, one every ~700 edge tuples.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Optional, Sequence
@@ -209,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handler(args)
     except VoltageTowerError as exc:
@@ -216,6 +227,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(exc.exit_code, f"{prefix}{exc}")
     except (ValueError, OSError) as exc:
         return _fail(EXIT_USAGE, str(exc))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

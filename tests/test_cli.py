@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import shlex
@@ -15,7 +16,11 @@ from voltage_tower import (
     CraterSpec,
     DirectedMultigraph,
     IntPolynomial,
+    InvalidPrimeError,
     IwasawaInvariants,
+    NoTowerError,
+    StructureViolationError,
+    TooLargeError,
     TowerLevel,
     TowerReport,
     VolcanoSpec,
@@ -962,6 +967,138 @@ def test_every_library_error_maps_to_a_documented_exit_code(
         assert len(lines) == 1, error.__name__
         assert lines[0].startswith("error: ") and "boom" in lines[0]
         assert "Traceback" not in err
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "paused-by-caller"])
+def collector(request):
+    """The collector's state as the caller of ``main`` left it; the test's
+    own state is put back afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "raised, status",
+    [
+        (None, 0),
+        (InvalidPrimeError("boom"), 2),
+        (NoTowerError("boom"), 4),
+        (TooLargeError("boom"), 6),
+        (ValueError("boom"), 2),
+        (OSError("boom"), 2),
+        (StructureViolationError("boom"), 1),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v),
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    raised, status, collector, tmp_path, capsys, monkeypatch
+):
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    during = []
+    real = cli.cmd_oracle
+
+    def oracle(args):
+        during.append(gc.isenabled())
+        if raised is not None:
+            raise raised
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_oracle", oracle)
+    code, _, _ = run(["oracle", "-i", str(src)], capsys)
+    assert code == status
+    assert during == [False]
+    assert gc.isenabled() is collector
+
+
+def test_an_unexpected_error_propagates_and_restores_the_collector(
+    collector, tmp_path, capsys, monkeypatch
+):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_oracle", crash)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["oracle", "-i", str(tmp_path / "c3.json")])
+    assert gc.isenabled() is collector
+
+
+def test_an_argparse_exit_leaves_the_collector_alone(collector, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--n-max", "2"])
+    assert exited.value.code == 2
+    capsys.readouterr()
+    assert gc.isenabled() is collector
+
+
+def _garbage_after(argv, capsys):
+    """Exit code of one ``main`` call and the objects that ``gc.collect``
+    then finds unreachable."""
+    cli.build_parser()
+    gc.collect()
+    code = main(argv)
+    found = gc.collect()
+    capsys.readouterr()
+    return code, found
+
+
+def test_a_command_leaves_no_reference_cycles(tmp_path, capsys):
+    # the premise of pausing the collector during a command
+    src = tmp_path / "c3.json"
+    write_graph(directed_cycle(3), str(src))
+    for argv in (
+        ["gen", "doubled-volcano", "--depth", "2"],
+        ["derive", "-i", str(src), "--p", "2", "--level", "3"],
+        ["derive", "-i", str(src), "--p", "2", "--level", "10"],
+        ["export-dot", "-i", str(src)],
+        ["oracle", "-i", str(src)],
+    ):
+        assert _garbage_after(argv, capsys) == (0, 0), argv
+
+
+def _decimal_str_garbage(numbers):
+    """What ``gc.collect`` finds after ``decimal_str`` renders ``numbers``."""
+    gc.collect()
+    for n in numbers:
+        decimal_str(n)
+    return gc.collect()
+
+
+def test_a_json_report_leaves_garbage_that_does_not_grow_with_the_graph(
+    tmp_path, capsys
+):
+    # json's indent encoder builds its nested functions as closure cycles,
+    # a fixed count per call; decimal_str's recursion past the leaf is a
+    # closure cycle per number, counted apart
+    graphs = {
+        "small": directed_cycle(3),
+        "large": doubled(volcano(VolcanoSpec(2, 3, CraterSpec.cycle(3)))),
+    }
+    for name, g in graphs.items():
+        write_graph(g, str(tmp_path / f"{name}.json"))
+    commands = {
+        "invariants": (
+            ["invariants", "--p", "2"],
+            lambda g: iwasawa.invariants(g, 2).charpoly,
+        ),
+        "verify": (
+            ["verify", "--p", "2", "--n-max", "5", "--json"],
+            lambda g: [
+                lvl.kappa_per_component
+                for lvl in iwasawa.verify_growth(g, 2, 5).levels
+            ],
+        ),
+    }
+    for command, (argv, rendered) in commands.items():
+        fixed = set()
+        for name, g in graphs.items():
+            src = str(tmp_path / f"{name}.json")
+            code, found = _garbage_after(argv + ["-i", src], capsys)
+            assert code == 0, (command, name)
+            fixed.add(found - _decimal_str_garbage(rendered(g)))
+        assert len(fixed) == 1, command
 
 
 def test_the_parser_is_built_once_per_process():
