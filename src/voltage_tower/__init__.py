@@ -67,10 +67,8 @@ from .linalg import (
     determinant,
     kirchhoff_count,
 )
-from .polynomial import IntPolynomial
 from .tower import (
     ConstantVoltage,
-    DerivedGraph,
     derive,
     predicted_component_count,
     stabilization_level,

@@ -18,10 +18,10 @@ characteristic polynomial behind invariants and verify, or a p above
 ``main`` runs the handler with the cyclic garbage collector paused and
 puts back the state it found.  A command's success path makes no
 reference cycle in proportion to its input: gen, derive, export-dot and
-oracle make none, and a JSON report leaves only the encoder's fixed few
-and one per ``decimal_str`` call past its leaf size, freed by the next
-collection after the command.  So a collection during a command only
-scans: on a derived level of 10k-20k vertices, one every ~700 edge tuples.
+oracle make none, and a JSON report leaves only the encoder's fixed few,
+freed by the next collection after the command.  So a collection during
+a command only scans: on a derived level of 10k-20k vertices, one every
+~700 edge tuples.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
             f"parameter {args.param} is divisible by {args.p}; "
             "pass --allow-non-unit to derive anyway"
         )
-    d = derive(g, voltage, args.level)
-    _emit(documents.graph_to_json(d.graph), args.output)
+    derived = derive(g, voltage, args.level)
+    _emit(documents.graph_to_json(derived), args.output)
     return EXIT_OK
 
 

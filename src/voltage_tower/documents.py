@@ -164,25 +164,27 @@ def decimal_str(n: int) -> str:
     ``Decimal``, whose large products are subquadratic; each 2^k is
     computed once per call.
     """
-    if n.bit_length() <= DECIMAL_LEAF_BITS:
-        return str(decimal.Decimal(n))
-    powers: dict[int, decimal.Decimal] = {}  # k -> 2^k
-
-    def convert(m: int, bits: int) -> decimal.Decimal:
-        if bits <= DECIMAL_LEAF_BITS:
-            return decimal.Decimal(m)
-        k = bits >> 1
-        if k not in powers:
-            powers[k] = _EXACT.power(2, k)
-        high = m >> k
-        low = m - (high << k)
-        return _EXACT.add(
-            _EXACT.multiply(convert(high, bits - k), powers[k]),
-            convert(low, k),
-        )
-
-    digits = str(convert(abs(n), n.bit_length()))
+    digits = str(_to_decimal(abs(n), n.bit_length(), {}))
     return "-" + digits if n < 0 else digits
+
+
+def _to_decimal(
+    m: int, bits: int, powers: dict[int, decimal.Decimal]
+) -> decimal.Decimal:
+    # m >= 0 of at most ``bits`` bits; ``powers`` maps k to 2^k.  A module
+    # function, not a closure that refers to itself: that would be a
+    # reference cycle holding ``powers`` until the next collection.
+    if bits <= DECIMAL_LEAF_BITS:
+        return decimal.Decimal(m)
+    k = bits >> 1
+    if k not in powers:
+        powers[k] = _EXACT.power(2, k)
+    high = m >> k
+    low = m - (high << k)
+    return _EXACT.add(
+        _EXACT.multiply(_to_decimal(high, bits - k, powers), powers[k]),
+        _to_decimal(low, k, powers),
+    )
 
 
 def tower_report_to_document(report: TowerReport) -> dict[str, Any]:

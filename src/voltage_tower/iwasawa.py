@@ -25,7 +25,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import Optional, Sequence
 
 from .arith import check_cap, require_int, require_prime, valuation
 from .backend import Schedule, replay_determinant
@@ -42,7 +42,6 @@ from .linalg import (
     _cleared_matrix, _interpolate_integer, _kappa, cyclotomic_resultants,
     elimination_schedule,
 )
-from .polynomial import IntPolynomial
 from .tower import CHARPOLY_VERTEX_CAP, check_derived_size, require_tower
 
 
@@ -63,7 +62,7 @@ class IwasawaInvariants:
     lam: int
     mu_total: int
     lam_total: int
-    charpoly: IntPolynomial
+    charpoly: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,7 @@ class TowerLevel:
     component_count: int
     kappa_per_component: int
     ord_p: int
-    predicted_ord_p: Optional[int] = None
+    predicted_ord_p: int
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,14 @@ class TowerReport:
     the invariants the prediction was made from."""
 
     levels: tuple[TowerLevel, ...]
-    fitted_nu: Optional[int]
+    fitted_nu: int
     exact_from_level: Optional[int]
     invariants: IwasawaInvariants
 
 
-def char_poly(g: DirectedMultigraph) -> IntPolynomial:
-    """P(T) = (1+T)^r * det(D - A(1+T) - A^t(1+T)^(-1)), exactly.
+def char_poly(g: DirectedMultigraph) -> tuple[int, ...]:
+    """P(T) = (1+T)^r * det(D - A(1+T) - A^t(1+T)^(-1)), exactly: its
+    coefficients, T^0 first, with trailing zeros trimmed.
 
     With D the total-degree diagonal (loops counted twice) and A the
     adjacency matrix (loops once), P(T) = Q(1 + T) for the cleared
@@ -197,9 +197,10 @@ def _least_x_order(m0: list[list[int]], m1: list[list[int]]) -> int:
 
 def _char_poly(
     g: DirectedMultigraph, schedule: Schedule
-) -> tuple[IntPolynomial, list[int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """:func:`char_poly` of a connected ``g`` on its ``schedule``, with
-    the coefficients of Q(x) = P(x - 1), x^0 first, from which P came.
+    the coefficients of Q(x) = P(x - 1), x^0 first and trailing zeros
+    trimmed, from which P came.
 
     The term of the Leibniz expansion of Q = det M(x) at a permutation
     sigma is +-prod_i M(x)[i][sigma(i)], whose x-order is the sum of its
@@ -242,7 +243,7 @@ def _char_poly(
     s_hat = _interpolate_integer(zs, ws)
     s = []
     for j in range(d + 1):
-        s_j, rem = divmod(s_hat.coefficient(j), big ** (d - j))
+        s_j, rem = divmod(s_hat[j], big ** (d - j))
         if rem:
             raise StructureViolationError(
                 f"x^r S(x + 1/x): coefficient of z^{j} is not an integer"
@@ -255,30 +256,46 @@ def _char_poly(
         for i in range(r + d - 2 * j, r - d + 1, -1):
             q[i] += q[i - 2]
         q[r - j] += s[j]
-    p = IntPolynomial(q).taylor_shift(1)
+    while q and q[-1] == 0:
+        q.pop()
+    p = _taylor_shift(q, 1)  # as deg P = deg Q, P has no trailing zero
     # q is palindromic, so Q'(1) = r Q(1): in effect this checks S(2) = 0
-    if p.coefficient(0) != 0 or p.coefficient(1) != 0:
+    if any(p[:2]):
         raise StructureViolationError(
             "characteristic polynomial is not divisible by T^2"
         )
-    return p, q
+    return tuple(p), tuple(q)
 
 
-def weierstrass(poly: IntPolynomial, p: int) -> tuple[int, int]:
+def _taylor_shift(coeffs: Sequence[int], a: int) -> list[int]:
+    """The coefficients of P(x + a) from those of P, x^0 first, by
+    repeated synthetic division of the list in place: O(degree^2)
+    additions, no polynomial products."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def weierstrass(poly: Sequence[int], p: int) -> tuple[int, int]:
     """(mu_total, lam_total): the least coefficient valuation and the first
-    index attaining it, read straight off the integer coefficients."""
+    index attaining it, read straight off the integer coefficients of
+    ``poly``, T^0 first; trailing zeros change nothing.  A coefficient that
+    is not an int (a bool is not one) raises ValueError, and a polynomial
+    with no nonzero coefficient ZeroPolynomialError."""
     require_prime(p)
-    if poly.is_zero:
-        raise ZeroPolynomialError("zero polynomial has no Weierstrass data")
-    mu_total = None
-    lam_total = None
+    mu_total = lam_total = None
     for i, c in enumerate(poly):
+        require_int("coefficient", c)
         if c == 0:
             continue
         v = valuation(c, p)
         if mu_total is None or v < mu_total:
             mu_total = v
             lam_total = i
+    if mu_total is None:
+        raise ZeroPolynomialError("zero polynomial has no Weierstrass data")
     return mu_total, lam_total
 
 
@@ -300,7 +317,7 @@ def invariants(g: DirectedMultigraph, p: int) -> IwasawaInvariants:
     return _invariants_at(_char_poly(g, _charpoly_schedule(g))[0], p, n0)
 
 
-def _invariants_at(poly: IntPolynomial, p: int, n0: int) -> IwasawaInvariants:
+def _invariants_at(poly: Sequence[int], p: int, n0: int) -> IwasawaInvariants:
     """:func:`invariants` from the characteristic polynomial ``poly`` and
     n0, which the caller has computed once."""
     mu_total, lam_total = weierstrass(poly, p)
@@ -358,9 +375,7 @@ def verify_growth(
         )
     kappa = _kappa(g, schedule)
     records = [(n0, q, kappa, valuation(kappa, p))]
-    resultants = cyclotomic_resultants(
-        IntPolynomial(cleared[e::q]), p, n_max - n0
-    )
+    resultants = cyclotomic_resultants(cleared[e::q], p, n_max - n0)
     for n, res in enumerate(resultants, n0 + 1):
         kappa, rem = divmod(kappa * res, p)
         if res == 0 or rem:

@@ -25,7 +25,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .graph import DirectedMultigraph, _union_find, neighbours, require_connected
-from .polynomial import IntPolynomial
 
 BRUTE_FORCE_EDGE_CAP = 16
 
@@ -59,9 +58,6 @@ class IntMatrix:
         return [
             list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)
         ]
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
 
 def determinant(m: IntMatrix) -> int:
@@ -154,7 +150,7 @@ def brute_force_spanning_trees(g: DirectedMultigraph) -> int:
     )
 
 
-def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
+def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     # Divided differences of an integer polynomial at distinct integer
     # nodes are integers (complete homogeneous symmetric polynomials of the
     # nodes), so every division is exact exactly when the interpolating
@@ -178,7 +174,7 @@ def _interpolate_integer(xs: Sequence[int], ys: Sequence[int]) -> IntPolynomial:
         for k in range(len(coeffs) - 1, 0, -1):
             coeffs[k] = coeffs[k - 1] - x * coeffs[k]
         coeffs[0] = c[i] - x * coeffs[0]
-    return IntPolynomial(coeffs)
+    return coeffs
 
 
 def _root_power(f: list[int], p: int) -> list[int]:
@@ -209,7 +205,7 @@ def _root_power(f: list[int], p: int) -> list[int]:
 
 
 def cyclotomic_resultants(
-    poly: IntPolynomial, p: int, levels: int
+    poly: Sequence[int], p: int, levels: int
 ) -> list[int]:
     """|Res(Phi_{p^k}, Q)| for k = 1..levels, in integers.
 
@@ -224,14 +220,20 @@ def cyclotomic_resultants(
     Q_{k-1} -> Q_k on the p deg Q power sums of its roots and one
     (p-1) x (p-1) Bareiss determinant; a factor Phi_{p^k} of Q gives 0.  The
     step's divisions are exact, so a remainder raises StructureViolationError.
-    ``levels`` that is not a non-negative int (a bool is not one) raises
-    ValueError.
+    ``poly`` is Q's coefficients, x^0 first, trailing zeros ignored; a
+    coefficient or ``levels`` that is not an int (a bool is not one), or a
+    negative ``levels``, raises ValueError, and a Q with no nonzero
+    coefficient ZeroPolynomialError.
     """
     require_prime(p)
     require_int("levels", levels, 0)
-    if poly.is_zero:
+    f = list(poly)
+    for c in f:
+        require_int("coefficient", c)
+    while f and f[-1] == 0:
+        f.pop()
+    if not f:
         raise ZeroPolynomialError("resultant against the zero polynomial")
-    f = list(poly.coefficients)
     out = []
     for k in range(1, levels + 1):
         g = [sum(f[r::p]) for r in range(p)]

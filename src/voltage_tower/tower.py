@@ -44,20 +44,6 @@ class ConstantVoltage:
         return math.gcd(self.param, self.p) == 1
 
 
-@dataclass(frozen=True)
-class DerivedGraph:
-    graph: DirectedMultigraph
-    base_vertex_count: int
-    level: int
-
-    @property
-    def modulus(self) -> int:
-        """p^level, the size of the deck group."""
-        if self.base_vertex_count == 0:
-            return 1
-        return self.graph.vertex_count // self.base_vertex_count
-
-
 # Derived vertices r * p^n a derived graph or a tower climb may reach; the
 # work grows with it whether the levels are built or read off resultants.
 DERIVED_VERTEX_CAP = 100_000
@@ -89,10 +75,10 @@ def check_derived_size(base_vertices: int, p: int, n: int) -> None:
 
 def derive(
     base: DirectedMultigraph, voltage: ConstantVoltage, n: int
-) -> DerivedGraph:
+) -> DirectedMultigraph:
     """Derived graph of the constant assignment modulo p^n.
 
-    Level 0 wraps the base graph unchanged, and a base with no vertices
+    Level 0 returns the base graph itself, and a base with no vertices
     gives an empty graph at any level.  Past DERIVED_VERTEX_CAP
     vertices or DERIVED_EDGE_CAP edges, TooLargeError is raised before
     anything is built.  A level that is not a non-negative int (a bool
@@ -101,11 +87,11 @@ def derive(
     require_int("level", n, 0)
     check_derived_size(base.vertex_count, voltage.p, n)
     if n == 0:
-        return DerivedGraph(base, base.vertex_count, 0)
+        return base
     name = f"derive({base.name},p={voltage.p},n={_stated(n)})"
     if base.vertex_count == 0:
         # every sheet is empty: p^n is never formed
-        return DerivedGraph(DirectedMultigraph(0, (), (), name), 0, n)
+        return DirectedMultigraph(0, (), (), name)
     check_cap(
         "{count} * {p}^{n} derived edges exceed the cap of {cap}",
         len(base.edges),
@@ -132,8 +118,7 @@ def derive(
         for sigma in map(str, range(modulus))
         for prefix in prefixes
     )
-    g = DirectedMultigraph(size, tuple(edges), labels, name)
-    return DerivedGraph(g, nv, n)
+    return DirectedMultigraph(size, tuple(edges), labels, name)
 
 
 def predicted_component_count(
@@ -185,7 +170,7 @@ def tower_component(
             f"parameter {voltage.param} is divisible by {voltage.p}"
         )
     derived = derive(base, voltage, n)
-    for comp in components(derived.graph):
+    for comp in components(derived):
         if comp[0] == 0:
-            return subgraph(derived.graph, comp)
+            return subgraph(derived, comp)
     raise StructureViolationError("vertex 0 not found in any component")

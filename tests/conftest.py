@@ -104,7 +104,7 @@ def fit_matches_weierstrass(g, p, budget_vertices=1600):
         if g.vertex_count * p**n > budget_vertices:
             return False
         kappa = kirchhoff_count(tower_component(g, voltage, n))
-        count = component_count(derive(g, voltage, n).graph)
+        count = component_count(derive(g, voltage, n))
         levels.append((n, count, kappa, valuation(kappa, p)))
         if n < n0 + 2:
             continue

@@ -10,11 +10,9 @@ from typing import Optional, Sequence
 from voltage_tower import (
     AugmentedVolcanoShape,
     CycleWeightProfile,
-    DerivedGraph,
     DirectedMultigraph,
     EmptyGraphError,
     IntMatrix,
-    IntPolynomial,
     NotAUnitError,
     NotConnectedError,
     NotSquareError,
@@ -300,19 +298,19 @@ def smith_normal_form(m: IntMatrix) -> list[int]:
     return factors
 
 
-def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
-    """Rename every vertex (v, sigma) to (v, u * sigma); for a unit u this
-    is an isomorphism of coverings of the base."""
-    modulus = d.modulus
+def relabel_by_unit(
+    g: DirectedMultigraph, nv: int, modulus: int, u: int
+) -> DirectedMultigraph:
+    """Rename every vertex (v, sigma) of the derived graph ``g``, over a
+    base of ``nv`` vertices modulo ``modulus``, to (v, u * sigma); for a
+    unit u this is an isomorphism of coverings of the base."""
     if math.gcd(u, modulus) != 1:
         raise NotAUnitError(f"{u} is not a unit modulo {modulus}")
-    nv = d.base_vertex_count
 
     def rename(idx: int) -> int:
         sigma, v = divmod(idx, nv)
         return (u * sigma % modulus) * nv + v
 
-    g = d.graph
     edges = tuple((rename(s), rename(t)) for s, t in g.edges)
     labels = g.vertex_labels
     if labels is not None:
@@ -320,19 +318,18 @@ def relabel_by_unit(d: DerivedGraph, u: int) -> DerivedGraph:
             f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
         )
     name = f"{g.name}*{u}"
-    renamed = DirectedMultigraph(g.vertex_count, edges, labels, name)
-    return DerivedGraph(renamed, d.base_vertex_count, d.level)
+    return DirectedMultigraph(g.vertex_count, edges, labels, name)
 
 
 def sheet_by_sheet_derive(
     base: DirectedMultigraph, p: int, param: int, n: int
-) -> DerivedGraph:
+) -> DirectedMultigraph:
     """Derived graph of the constant voltage ``param`` modulo p^n, built one
     edge at a time: for each base edge (s, t), then for each sheet sigma,
     the edge (s, sigma) -> (t, sigma + param), with vertex (v, sigma) at
     index sigma * |V| + v and labelled ``v{v}@{sigma}``."""
     if n == 0:
-        return DerivedGraph(base, base.vertex_count, 0)
+        return base
     modulus = p**n
     a = param % modulus
     nv = base.vertex_count
@@ -344,8 +341,7 @@ def sheet_by_sheet_derive(
         f"v{v}@{sigma}" for sigma in range(modulus) for v in range(nv)
     )
     name = f"derive({base.name},p={p},n={n})"
-    g = DirectedMultigraph(modulus * nv, tuple(edges), labels, name)
-    return DerivedGraph(g, nv, n)
+    return DirectedMultigraph(modulus * nv, tuple(edges), labels, name)
 
 
 def _dot_quote(s: str) -> str:
@@ -533,7 +529,7 @@ def lagrange_coefficients(xs, ys) -> list:
     return total
 
 
-def poly_matrix_determinant(coefficients) -> IntPolynomial:
+def poly_matrix_determinant(coefficients) -> tuple:
     """Determinant of the matrix polynomial C_0 + C_1 T + ... + C_d T^d.
 
     The C_k are square integer matrices of one size n, so the determinant
@@ -560,10 +556,10 @@ def poly_matrix_determinant(coefficients) -> IntPolynomial:
         ys.append(fraction_determinant(m))
     coeffs = lagrange_coefficients(xs, ys)
     assert all(c.denominator == 1 for c in coeffs), "not an integer polynomial"
-    return IntPolynomial(tuple(c.numerator for c in coeffs))
+    return trimmed(c.numerator for c in coeffs)
 
 
-def charpoly_2r_plus_1(g: DirectedMultigraph) -> IntPolynomial:
+def charpoly_2r_plus_1(g: DirectedMultigraph) -> tuple:
     """P(T) as the determinant of the matrix polynomial (D - A - A^t) +
     (D - 2A) T - A T^2 at 2r + 1 nodes, with D and A read off the edge
     list (D counts a loop twice, A once)."""
@@ -614,12 +610,11 @@ def least_x_order(g: DirectedMultigraph) -> Optional[int]:
     return min(least.values(), default=None)
 
 
-# Polynomial arithmetic on ascending coefficient sequences, as IntPolynomial's
-# operators had it.  Results are tuples with trailing zeros trimmed, so
-# IntPolynomial(result) holds the same coefficients.
+# Polynomial arithmetic on ascending coefficient sequences.  Results are
+# tuples with trailing zeros trimmed, as the library returns a polynomial.
 
 
-def _trimmed(coeffs) -> tuple:
+def trimmed(coeffs) -> tuple:
     out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
@@ -641,11 +636,11 @@ def poly_add(a, b) -> tuple:
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _trimmed(out)
+    return trimmed(out)
 
 
 def poly_scale(a, k: int) -> tuple:
-    return _trimmed(k * c for c in a)
+    return trimmed(k * c for c in a)
 
 
 def poly_sub(a, b) -> tuple:
@@ -653,21 +648,21 @@ def poly_sub(a, b) -> tuple:
 
 
 def poly_mul(a, b) -> tuple:
-    a, b = _trimmed(a), _trimmed(b)
+    a, b = trimmed(a), trimmed(b)
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _trimmed(out)
+    return trimmed(out)
 
 
 def poly_pow(a, n: int) -> tuple:
     """a^n for n >= 0, by repeated squaring."""
     if n < 0:
         raise ValueError("negative power")
-    result, base = (1,), _trimmed(a)
+    result, base = (1,), trimmed(a)
     while n:
         if n & 1:
             result = poly_mul(result, base)

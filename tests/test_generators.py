@@ -194,9 +194,9 @@ def test_recognize_depth_zero_craters():
 
 def test_double_crater_recognition():
     d1 = derive(bouquet(2), ConstantVoltage(3), 1)
-    assert is_double_crater(d1.graph) == 3
+    assert is_double_crater(d1) == 3
     d2 = derive(bouquet(2), ConstantVoltage(2), 1)
-    assert is_double_crater(d2.graph) == 2
+    assert is_double_crater(d2) == 2
     assert is_double_crater(bouquet(2)) is None
     assert is_double_crater(directed_cycle(4)) is None
     assert is_double_crater(doubled(directed_cycle(4))) == 4
@@ -233,7 +233,7 @@ def test_derived_two_loop_volcanoes_are_augmented():
         for d in (0, 1, 2):
             base = volcano(VolcanoSpec(l, d, CraterSpec.two_loops()))
             for n in (1, 2):
-                g = derive(base, ConstantVoltage(p), n).graph
+                g = derive(base, ConstantVoltage(p), n)
                 shape = recognize_augmented_volcano(g)
                 assert shape is not None, (l, p, d, n)
                 assert is_augmented_volcano(g)
@@ -337,7 +337,7 @@ def _volcano_family():
                 graphs += [base, doubled(base)]
                 for p in (2, 3):
                     voltage = ConstantVoltage(p)
-                    graphs.append(derive(base, voltage, 1).graph)
+                    graphs.append(derive(base, voltage, 1))
                     try:
                         graphs.append(tower_component(base, voltage, 1))
                     except NoTowerError:
@@ -413,7 +413,7 @@ def test_recognizers_reject_malformed_craters_and_layers():
         volcano(VolcanoSpec(2, 1, CraterSpec.two_loops())),
         ConstantVoltage(3),
         1,
-    ).graph
+    )
     lopsided = DirectedMultigraph(
         augmented.vertex_count + 1,
         augmented.edges + ((0, augmented.vertex_count),),

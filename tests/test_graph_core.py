@@ -193,7 +193,7 @@ def derived_levels(corpus):
         for p in (2, 3):
             n = 0
             while g.vertex_count * p**n <= 2000:
-                yield (g.name, p, n), derive(g, ConstantVoltage(p), n).graph
+                yield (g.name, p, n), derive(g, ConstantVoltage(p), n)
                 n += 1
 
 

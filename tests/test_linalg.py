@@ -8,7 +8,6 @@ from voltage_tower import (
     DirectedMultigraph,
     EmptyGraphError,
     IntMatrix,
-    IntPolynomial,
     InvalidPrimeError,
     NonIntegralInterpolationError,
     NotConnectedError,
@@ -25,6 +24,7 @@ from voltage_tower import (
     doubled,
     kirchhoff_count,
     stabilization_level,
+    weierstrass,
 )
 from voltage_tower import linalg
 from voltage_tower.backend import bareiss_determinant
@@ -74,7 +74,9 @@ def test_int_matrix_and_polynomial_take_ints_only(bad):
     with pytest.raises(ValueError, match="must be an int"):
         IntMatrix.from_rows([[1, 2], [3, bad]])
     with pytest.raises(ValueError, match="must be an int"):
-        IntPolynomial((1, bad))
+        weierstrass((1, bad), 2)
+    with pytest.raises(ValueError, match="must be an int"):
+        cyclotomic_resultants((1, bad), 2, 1)
 
 
 def test_determinant_against_cofactor_expansion():
@@ -299,17 +301,13 @@ def test_kirchhoff_ignores_edge_orientation(g, data):
     assert kirchhoff_count(flipped) == kirchhoff_count(g)
 
 
-def P(*coeffs):
-    return IntPolynomial(coeffs)
-
-
 def test_poly_matrix_determinant_examples():
     # [[-T^2]] and [[1 + T, 0], [0, -1 + T]]
-    assert poly_matrix_determinant([[[0]], [[0]], [[-1]]]) == P(0, 0, -1)
+    assert poly_matrix_determinant([[[0]], [[0]], [[-1]]]) == (0, 0, -1)
     assert poly_matrix_determinant(
         [[[1, 0], [0, -1]], [[1, 0], [0, 1]]]
-    ) == P(-1, 0, 1)
-    assert poly_matrix_determinant([[[7]]]) == P(7)
+    ) == (-1, 0, 1)
+    assert poly_matrix_determinant([[[7]]]) == (7,)
 
 
 def square_matrices(n):
@@ -356,9 +354,9 @@ def test_poly_matrix_determinant_agrees_off_the_nodes(coefficients, x):
     extra=st.integers(min_value=0, max_value=5),
 )
 def test_interpolation_round_trips_big_coefficients(coeffs, extra):
-    poly = IntPolynomial(tuple(coeffs))
     xs = _default_points(len(coeffs) + extra)
-    assert _interpolate_integer(xs, [poly_eval(poly, x) for x in xs]) == poly
+    ys = [poly_eval(coeffs, x) for x in xs]
+    assert _interpolate_integer(xs, ys) == coeffs + [0] * extra
 
 
 def test_interpolation_guard_rejects_non_polynomial_data():
@@ -378,31 +376,52 @@ def test_poly_matrix_determinant_rejects_non_square():
 
 def test_cyclotomic_resultant_examples():
     # Res(Phi_{p^k}, x - a) = Phi_{p^k}(a): Phi_3(2) = 7, Phi_9(2) = 73
-    assert cyclotomic_resultants(IntPolynomial((-2, 1)), 3, 2) == [7, 73]
+    assert cyclotomic_resultants((-2, 1), 3, 2) == [7, 73]
     # non-monic: prod (2 zeta - 1) = 2^N Phi_{2^k}(1/2) = 3, 5, 17
-    assert cyclotomic_resultants(IntPolynomial((-1, 2)), 2, 3) == [3, 5, 17]
-    assert cyclotomic_resultants(IntPolynomial((-1, 2)), 2, 3)[2:] == [17]
+    assert cyclotomic_resultants((-1, 2), 2, 3) == [3, 5, 17]
+    assert cyclotomic_resultants((-1, 2), 2, 3)[2:] == [17]
     # Q(0) = 0: the root 0 contributes Phi(0) = 1
-    assert cyclotomic_resultants(IntPolynomial((0, -2, 1)), 3, 2) == [7, 73]
+    assert cyclotomic_resultants((0, -2, 1), 3, 2) == [7, 73]
     # a constant c gives c^N
-    assert cyclotomic_resultants(IntPolynomial((3,)), 2, 3) == [3, 9, 81]
-    assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 0) == []
+    assert cyclotomic_resultants((3,), 2, 3) == [3, 9, 81]
+    assert cyclotomic_resultants((1, 1), 2, 0) == []
     # Phi_{p^k} divides Q: that level's resultant is 0
-    assert cyclotomic_resultants(IntPolynomial((1, 1)), 2, 3) == [0, 2, 2]
-    assert cyclotomic_resultants(IntPolynomial((1, 1, 1)), 3, 3) == [0, 9, 9]
-    x3_plus_x2 = IntPolynomial((0, 0, 1, 1))
+    assert cyclotomic_resultants((1, 1), 2, 3) == [0, 2, 2]
+    assert cyclotomic_resultants((1, 1, 1), 3, 3) == [0, 9, 9]
+    x3_plus_x2 = (0, 0, 1, 1)
     assert cyclotomic_resultants(x3_plus_x2, 2, 3) == [0, 2, 2]
 
 
 def test_cyclotomic_resultants_validate_arguments():
-    q = IntPolynomial((-2, 1))
+    q = (-2, 1)
     with pytest.raises(InvalidPrimeError):
         cyclotomic_resultants(q, 4, 2)
     with pytest.raises(ZeroPolynomialError):
-        cyclotomic_resultants(IntPolynomial(), 2, 2)
+        cyclotomic_resultants((), 2, 2)
     for levels in (True, -3):
         with pytest.raises(ValueError):
             cyclotomic_resultants(q, 3, levels)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_the_polynomial_boundaries_take_int_coefficients_only(bad):
+    # no type re-checks a polynomial: weierstrass and cyclotomic_resultants
+    # check every coefficient they are given, a trailing one included
+    for poly in ((bad,), (bad, 1), (1, bad), (0, bad, 0)):
+        with pytest.raises(ValueError, match="coefficient must be an int"):
+            weierstrass(poly, 3)
+        with pytest.raises(ValueError, match="coefficient must be an int"):
+            cyclotomic_resultants(poly, 3, 2)
+
+
+def test_the_polynomial_boundaries_ignore_trailing_zeros():
+    assert cyclotomic_resultants((-2, 1, 0, 0), 3, 2) == [7, 73]
+    assert weierstrass((0, 0, -2, 0, 0), 2) == (1, 2)
+    for zero in ((), (0, 0)):
+        with pytest.raises(ZeroPolynomialError):
+            weierstrass(zero, 2)
+        with pytest.raises(ZeroPolynomialError):
+            cyclotomic_resultants(zero, 2, 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -428,7 +447,7 @@ def test_cyclotomic_resultants_match_the_sylvester_determinant(
         )
         for k in range(first, top + 1)
     ]
-    assert cyclotomic_resultants(IntPolynomial(coeffs), p, top)[first - 1 :] == expected
+    assert cyclotomic_resultants(coeffs, p, top)[first - 1 :] == expected
 
 
 def _from_roots(c, roots):
@@ -470,11 +489,10 @@ def test_cyclotomic_resultants_match_the_companion_oracle_on_charpolys(corpus):
         q = ()
         for i, coeff in enumerate(char_poly(g)):
             q = poly_add(q, poly_scale(poly_pow(x_minus_1, i), coeff))
-        q = IntPolynomial(q)
         for p, n0 in n0s.items():
             if n0 is None:
                 continue
-            expected = companion_resultants(q.coefficients, p, 1, n0 + 3)
+            expected = companion_resultants(q, p, 1, n0 + 3)
             assert expected[:n0] == [0] * n0, (g.name, p)
             assert cyclotomic_resultants(q, p, n0 + 3) == expected, (
                 g.name,
@@ -483,9 +501,9 @@ def test_cyclotomic_resultants_match_the_companion_oracle_on_charpolys(corpus):
             step = p**n0
             a = min(i for i, c in enumerate(q) if c)
             assert all(c == 0 for i, c in enumerate(q) if (i - a) % step)
-            r = q.coefficients[a::step]
+            r = q[a::step]
             decimated = companion_resultants(r, p, 1, 3)
             assert [x**step for x in decimated] == expected[n0:], (g.name, p)
-            assert cyclotomic_resultants(IntPolynomial(r), p, 3) == decimated
+            assert cyclotomic_resultants(r, p, 3) == decimated
             checked += 1
     assert checked >= 90

@@ -54,28 +54,26 @@ def test_derive_level_is_an_int(level):
 
 
 def test_derive_level_zero_is_identity():
-    g = directed_cycle(3)
-    d = derive(g, ConstantVoltage(5), 0)
-    assert d.graph is g
-    assert d.level == 0
-    assert d.modulus == 1
+    # the base itself: one sheet, level 0 and modulus p^0 = 1
+    for g in (directed_cycle(3), bouquet(2), DirectedMultigraph(0, ())):
+        assert derive(g, ConstantVoltage(5), 0) is g
 
 
 def test_derive_loop_bouquet_gives_directed_cycle():
     d = derive(bouquet(1), ConstantVoltage(2), 2)
-    assert d.graph.vertex_count == 4
-    assert sorted(d.graph.edges) == [(0, 1), (1, 2), (2, 3), (3, 0)]
-    assert d.graph.vertex_labels == ("v0@0", "v0@1", "v0@2", "v0@3")
+    assert d.vertex_count == 4
+    assert sorted(d.edges) == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert d.vertex_labels == ("v0@0", "v0@1", "v0@2", "v0@3")
 
 
 def test_derive_three_cycle_splits_into_copies():
     g = directed_cycle(3)
     d1 = derive(g, ConstantVoltage(3), 1)
-    assert d1.graph.vertex_count == 9
-    assert component_count(d1.graph) == 3
+    assert d1.vertex_count == 9
+    assert component_count(d1) == 3
     d2 = derive(g, ConstantVoltage(3), 2)
-    assert component_count(d2.graph) == 3
-    for comp in components(d2.graph):
+    assert component_count(d2) == 3
+    for comp in components(d2):
         assert len(comp) == 9
 
 
@@ -97,28 +95,28 @@ def test_derive_keeps_the_sheet_by_sheet_edges_and_labels(base, p, n, param):
     for a in (*_special_params(p, n), param):
         d = derive(base, ConstantVoltage(p, a), n)
         expected = sheet_by_sheet_derive(base, p, a, n)
-        assert d.graph.name == expected.graph.name
-        assert d.graph.vertex_count == expected.graph.vertex_count
-        assert d.graph.edges == expected.graph.edges
-        assert d.graph.vertex_labels == expected.graph.vertex_labels
-        assert d.base_vertex_count == expected.base_vertex_count
-        assert d.level == expected.level
+        assert d.name == expected.name
+        assert d.vertex_count == expected.vertex_count
+        assert d.edges == expected.edges
+        assert d.vertex_labels == expected.vertex_labels
+        # base_vertex_count sheets of p^n vertices each
+        assert d.vertex_count == base.vertex_count * p**n
 
 
 def test_vertex_and_edge_counts(corpus):
     for g in corpus:
         for p in (2, 3):
             d = derive(g, ConstantVoltage(p), 2)
-            assert d.graph.vertex_count == p**2 * g.vertex_count
-            assert len(d.graph.edges) == p**2 * len(g.edges)
+            assert d.vertex_count == p**2 * g.vertex_count
+            assert len(d.edges) == p**2 * len(g.edges)
 
 
 def test_projection_is_a_morphism_onto_the_base(corpus):
     for g in corpus[:10]:
         d = derive(g, ConstantVoltage(3), 2)
-        nv = d.base_vertex_count
-        projected = sorted((s % nv, t % nv) for s, t in d.graph.edges)
-        assert projected == sorted(list(g.edges) * d.modulus)
+        nv = g.vertex_count
+        projected = sorted((s % nv, t % nv) for s, t in d.edges)
+        assert projected == sorted(list(g.edges) * 3**2)
 
 
 def test_predicted_component_count_examples():
@@ -131,7 +129,7 @@ def test_predicted_component_count_examples():
     digon = cycle_weight_profile(DirectedMultigraph(2, ((0, 1), (1, 0))))
     assert predicted_component_count(digon, 2, 3) == 2
     d = derive(DirectedMultigraph(2, ((0, 1), (1, 0))), ConstantVoltage(2), 3)
-    assert component_count(d.graph) == 2
+    assert component_count(d) == 2
 
 
 def test_tower_formulas_check_p_and_the_level():
@@ -154,12 +152,12 @@ def test_all_components_alike(corpus):
     for g in corpus:
         for p in (2, 3):
             d = derive(g, ConstantVoltage(p), 2)
-            comps = components(d.graph)
+            comps = components(d)
             stats = {
                 (
                     len(c),
-                    len(subgraph(d.graph, c).edges),
-                    kirchhoff_count(subgraph(d.graph, c)),
+                    len(subgraph(d, c).edges),
+                    kirchhoff_count(subgraph(d, c)),
                 )
                 for c in comps
             }
@@ -185,7 +183,7 @@ def test_connected_at_every_level_iff_n0_zero(corpus):
             if n0 is None:
                 continue
             all_connected = all(
-                len(components(derive(g, ConstantVoltage(p), n).graph)) == 1
+                len(components(derive(g, ConstantVoltage(p), n))) == 1
                 for n in range(4)
             )
             assert all_connected == (n0 == 0)
@@ -254,17 +252,16 @@ def test_derive_states_a_huge_level_by_its_bit_length():
 
 def test_derive_names_an_empty_graph_at_a_huge_level_by_its_bit_length():
     d = derive(DirectedMultigraph(0, ()), ConstantVoltage(2), 10**5000)
-    assert d.graph == DirectedMultigraph(
+    assert d == DirectedMultigraph(
         0, (), (), "derive(graph,p=2,n=<16610-bit int>)"
     )
-    assert (d.base_vertex_count, d.level) == (0, 10**5000)
     d = derive(DirectedMultigraph(0, ()), ConstantVoltage(3), 7)
-    assert d.graph.name == "derive(graph,p=3,n=7)"
+    assert d.name == "derive(graph,p=3,n=7)"
 
 
 def test_derived_edge_cap():
     # the largest benchmark derive, 3 loops at p = 7, level 5: 50,421 edges
-    assert len(derive(bouquet(3), ConstantVoltage(7), 5).graph.edges) == 50_421
+    assert len(derive(bouquet(3), ConstantVoltage(7), 5).edges) == 50_421
     # 1,000 loops at level 9: 512 vertices, 512,000 edges
     assert 1000 * 2**9 > DERIVED_EDGE_CAP
     with pytest.raises(TooLargeError, match="derived edges"):
@@ -277,22 +274,22 @@ def test_non_unit_parameter_splits_level_one(corpus):
             continue
         for p in (2, 3):
             d = derive(g, ConstantVoltage(p, p), 1)
-            assert component_count(d.graph) >= p
+            assert component_count(d) >= p
 
 
 def test_relabel_identity_and_unit_check():
     d = derive(directed_cycle(3), ConstantVoltage(3), 2)
-    same = relabel_by_unit(d, 1)
-    assert same.graph.edges == d.graph.edges
+    same = relabel_by_unit(d, 3, 3**2, 1)
+    assert same.edges == d.edges
     with pytest.raises(NotAUnitError):
-        relabel_by_unit(d, 3)
+        relabel_by_unit(d, 3, 3**2, 3)
 
 
 def test_relabel_bouquet_example():
     d1 = derive(bouquet(1), ConstantVoltage(3), 1)
-    relabeled = relabel_by_unit(d1, 2)
-    assert sorted(relabeled.graph.edges) == sorted(
-        derive(bouquet(1), ConstantVoltage(3, 2), 1).graph.edges
+    relabeled = relabel_by_unit(d1, 1, 3, 2)
+    assert sorted(relabeled.edges) == sorted(
+        derive(bouquet(1), ConstantVoltage(3, 2), 1).edges
     )
 
 
@@ -315,7 +312,7 @@ def test_relabel_by_unit_is_an_isomorphism_of_coverings(
         )
     )
     d = derive(g, ConstantVoltage(p), n)
-    renamed = relabel_by_unit(d, u).graph
+    renamed = relabel_by_unit(d, g.vertex_count, modulus, u)
 
     def sizes(graph):
         return sorted(len(c) for c in components(graph))
@@ -325,8 +322,8 @@ def test_relabel_by_unit_is_an_isomorphism_of_coverings(
             subgraph(graph, next(c for c in components(graph) if c[0] == 0))
         )
 
-    assert sizes(renamed) == sizes(d.graph)
-    assert kappa_at_vertex_0(renamed) == kappa_at_vertex_0(d.graph)
+    assert sizes(renamed) == sizes(d)
+    assert kappa_at_vertex_0(renamed) == kappa_at_vertex_0(d)
     path = tmp_path_factory.mktemp("relabel") / "g.json"
     write_graph(renamed, str(path))
     assert read_graph(str(path)) == renamed
@@ -340,7 +337,5 @@ def test_parameter_independence(corpus):
                 if a % p == 0:
                     continue
                 direct = derive(g, ConstantVoltage(p, a), n)
-                renamed = relabel_by_unit(reference, a)
-                assert sorted(direct.graph.edges) == sorted(
-                    renamed.graph.edges
-                )
+                renamed = relabel_by_unit(reference, g.vertex_count, p**n, a)
+                assert sorted(direct.edges) == sorted(renamed.edges)
