@@ -11,9 +11,9 @@ any ValueError or OSError); 3 non-unit parameter (NotAUnitError);
 4 no tower exists (NoTowerError); 5 growth-law mismatch; 6 size cap
 exceeded (TooLargeError: the oracle's edge cap, the derived-vertex cap on
 a tower level, on an input graph's vertex count or on a gen family, the
-derived-edge cap of derive or of a gen family, the vertex cap of the
-characteristic polynomial behind invariants and verify, or a p above
-2^32).  A library error's code is the ``exit_code`` of its class.
+derived-edge cap of derive, of an input graph's edge list or of a gen
+family, the vertex cap of the characteristic polynomial behind
+invariants and verify, or a p above 2^32).  A library error's code is the ``exit_code`` of its class.
 
 ``main`` runs the handler with the cyclic garbage collector paused and
 puts back the state it found.  A command's success path makes no
@@ -31,7 +31,7 @@ import functools
 import gc
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from . import documents
 from .errors import NotAUnitError, VoltageTowerError
@@ -58,12 +58,14 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: Union[str, Iterable[str]], out_path: Optional[str]) -> None:
+    """Write a string, or its chunks each as it is made."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -76,7 +78,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         g = volcano(spec)
         if args.family == "doubled-volcano":
             g = doubled(g)
-    _emit(documents.graph_to_json(g), args.output)
+    _emit(documents.graph_json_chunks(g), args.output)
     return EXIT_OK
 
 
@@ -89,7 +91,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
             "pass --allow-non-unit to derive anyway"
         )
     derived = derive(g, voltage, args.level)
-    _emit(documents.graph_to_json(derived), args.output)
+    _emit(documents.graph_json_chunks(derived), args.output)
     return EXIT_OK
 
 

@@ -5,11 +5,14 @@ reports as ``voltage-tower/invariants-v1``; spanning-tree counts and
 polynomial coefficients are serialized as decimal strings because they
 outgrow 64-bit consumers quickly.  Unknown fields are rejected.
 
-Graph documents are written by :func:`graph_to_json` in the byte layout of
-``json.dumps(graph_to_document(g), indent=2)``.  It renders them itself
-because ``json`` encodes in pure Python, element by element, whenever an
-indent is given, and on a derived graph that was most of the time the
-``derive`` command took.  :func:`graph_to_dot` escapes the name and all
+Graph documents are rendered by :func:`graph_json_chunks` in the byte
+layout of ``json.dumps(graph_to_document(g), indent=2)``.  It renders them
+itself because ``json`` encodes in pure Python, element by element,
+whenever an indent is given, and on a derived graph that was most of the
+time the ``derive`` command took.  It yields the document in chunks of at
+most JSON_CHUNK edges or labels, which ``write_graph`` and the CLI write as
+they are made, so a writer holds one chunk beside the graph and never the
+whole document.  :func:`graph_to_dot` escapes the name and all
 labels in two ``str.replace`` passes, then renders all vertex lines with
 one ``%``-format and all edge lines with another.  The name goes in through
 an f-string and each label as a format argument, so a ``%`` in either is
@@ -22,13 +25,13 @@ import decimal
 import json
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .arith import check_cap
 from .errors import DocumentError
 from .graph import DirectedMultigraph
 from .iwasawa import IwasawaInvariants, TowerReport
-from .tower import DERIVED_VERTEX_CAP
+from .tower import DERIVED_EDGE_CAP, DERIVED_VERTEX_CAP
 
 GRAPH_SCHEMA = "voltage-tower/graph-v1"
 INVARIANTS_SCHEMA = "voltage-tower/invariants-v1"
@@ -48,35 +51,47 @@ def graph_to_document(g: DirectedMultigraph) -> dict[str, Any]:
     return doc
 
 
-def _json_array(items: list[str]) -> str:
-    """A JSON array of rendered items, laid out as a top-level field's value
-    in an indent-2 document."""
+# Edges or labels per chunk of a rendered graph document.
+JSON_CHUNK = 4096
+
+
+def _json_array(
+    items: Sequence[Any], render: Callable[[Sequence[Any]], Iterable[str]]
+) -> Iterator[str]:
+    """A JSON array laid out as a top-level field's value in an indent-2
+    document, in chunks of at most JSON_CHUNK items, each rendered by
+    ``render`` on its slice."""
     if not items:
-        return "[]"
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+        yield "[]"
+        return
+    lead = "[\n    "
+    for i in range(0, len(items), JSON_CHUNK):
+        yield lead
+        yield ",\n    ".join(render(items[i : i + JSON_CHUNK]))
+        lead = ",\n    "
+    yield "\n  ]"
 
 
-def graph_to_json(g: DirectedMultigraph) -> str:
-    """``json.dumps(graph_to_document(g), indent=2) + "\\n"``, rendered
-    directly: strings through json's own ASCII escaper, one fixed-indent
-    block per edge."""
-    fields = [
-        ("schema", encode_basestring_ascii(GRAPH_SCHEMA)),
-        ("name", encode_basestring_ascii(g.name)),
-        ("directed", "true"),
-        ("vertex_count", json.dumps(g.vertex_count)),
-        (
-            "edges",
-            _json_array(
-                [f"[\n      {s},\n      {t}\n    ]" for s, t in g.edges]
-            ),
-        ),
-    ]
+def graph_json_chunks(g: DirectedMultigraph) -> Iterator[str]:
+    """``json.dumps(graph_to_document(g), indent=2) + "\\n"`` in chunks:
+    strings through json's own ASCII escaper, one fixed-indent block per
+    edge."""
+    yield (
+        f'{{\n  "schema": {encode_basestring_ascii(GRAPH_SCHEMA)},\n'
+        f'  "name": {encode_basestring_ascii(g.name)},\n'
+        f'  "directed": true,\n  "vertex_count": {g.vertex_count},\n'
+        '  "edges": '
+    )
+    yield from _json_array(
+        g.edges,
+        lambda edges: [f"[\n      {s},\n      {t}\n    ]" for s, t in edges],
+    )
     if g.vertex_labels is not None:
-        labels = [encode_basestring_ascii(x) for x in g.vertex_labels]
-        fields.append(("labels", _json_array(labels)))
-    body = ",\n".join(f'  "{key}": {value}' for key, value in fields)
-    return "{\n" + body + "\n}\n"
+        yield ',\n  "labels": '
+        yield from _json_array(
+            g.vertex_labels, lambda labels: map(encode_basestring_ascii, labels)
+        )
+    yield "\n}\n"
 
 
 # JSON's \u escapes can spell a lone surrogate, which no output encodes.
@@ -85,7 +100,7 @@ NOT_UTF8 = "name and labels must encode as UTF-8: a lone surrogate does not"
 
 def graph_from_document(doc: Any) -> DirectedMultigraph:
     """The graph of a graph-v1 document.  The reader checks the document:
-    fields, schema, ``"directed": true``, lists, the vertex cap
+    fields, schema, ``"directed": true``, lists, the edge and vertex caps
     (TooLargeError) and a name and labels that encode as UTF-8; the
     DirectedMultigraph constructor checks the graph, and its ValueError
     becomes DocumentError."""
@@ -108,6 +123,11 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
     edges, labels = doc["edges"], doc.get("labels")
     if type(edges) is not list or {*map(type, edges)} - {list}:
         raise DocumentError("edges must be a list of [src, dst] lists")
+    check_cap(
+        "edge count {count} exceeds the cap of {cap}",
+        len(edges),
+        DERIVED_EDGE_CAP,
+    )
     if type(labels) is list:
         labels = tuple(labels)
     try:
@@ -130,7 +150,7 @@ def graph_from_document(doc: Any) -> DirectedMultigraph:
 
 def write_graph(g: DirectedMultigraph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_json(g))
+        fh.writelines(graph_json_chunks(g))
 
 
 def read_graph(path: str) -> DirectedMultigraph:

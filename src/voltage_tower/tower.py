@@ -80,18 +80,12 @@ def derive(
 
     Level 0 returns the base graph itself, and a base with no vertices
     gives an empty graph at any level.  Past DERIVED_VERTEX_CAP
-    vertices or DERIVED_EDGE_CAP edges, TooLargeError is raised before
-    anything is built.  A level that is not a non-negative int (a bool
-    is not one) raises ValueError.
+    vertices or DERIVED_EDGE_CAP edges, at any level, TooLargeError is
+    raised before anything is built.  A level that is not a non-negative
+    int (a bool is not one) raises ValueError.
     """
     require_int("level", n, 0)
     check_derived_size(base.vertex_count, voltage.p, n)
-    if n == 0:
-        return base
-    name = f"derive({base.name},p={voltage.p},n={_stated(n)})"
-    if base.vertex_count == 0:
-        # every sheet is empty: p^n is never formed
-        return DirectedMultigraph(0, (), (), name)
     check_cap(
         "{count} * {p}^{n} derived edges exceed the cap of {cap}",
         len(base.edges),
@@ -99,6 +93,12 @@ def derive(
         voltage.p,
         n,
     )
+    if n == 0:
+        return base
+    name = f"derive({base.name},p={voltage.p},n={_stated(n)})"
+    if base.vertex_count == 0:
+        # every sheet is empty: p^n is never formed
+        return DirectedMultigraph(0, (), (), name)
     modulus = voltage.p**n
     a = voltage.param % modulus
     nv = base.vertex_count

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -30,17 +31,18 @@ from voltage_tower import (
     doubled,
     volcano,
 )
-from voltage_tower import cli, iwasawa, tower
+from voltage_tower import cli, documents, iwasawa, tower
 from voltage_tower.cli import _report_table, main
 from voltage_tower.documents import (
     DECIMAL_LEAF_BITS,
+    JSON_CHUNK,
     NOT_UTF8,
     DocumentError,
     decimal_str,
     graph_from_document,
+    graph_json_chunks,
     graph_to_document,
     graph_to_dot,
-    graph_to_json,
     invariants_to_document,
     read_graph,
     tower_report_to_document,
@@ -67,6 +69,11 @@ def test_graph_document_round_trip(tmp_path):
 def dumped(g):
     """The graph-v1 bytes as ``json`` lays them out: the renderer's oracle."""
     return json.dumps(graph_to_document(g), indent=2) + "\n"
+
+
+def graph_to_json(g):
+    """The rendered document as one string."""
+    return "".join(graph_json_chunks(g))
 
 
 # Quotes, backslashes, control characters, DEL, non-ASCII text, a character
@@ -146,6 +153,37 @@ def test_graph_documents_keep_the_dump_layout(tmp_path):
         path = tmp_path / "g.json"
         write_graph(g, str(path))
         assert path.read_bytes() == dumped(g).encode("ascii")
+
+
+_CHUNK_COUNTS = (
+    0, 1, JSON_CHUNK - 1, JSON_CHUNK, JSON_CHUNK + 1, 2 * JSON_CHUNK + 1
+)
+
+
+def _chunked_graphs():
+    """k edges and k labels on k vertices for each count k around the chunk
+    boundaries, and a graph with edges and no labels."""
+    for k in _CHUNK_COUNTS:
+        edges = tuple((v, (v * 7 + 1) % k) for v in range(k))
+        labels = tuple(f'\u00e9"{v}' for v in range(k))
+        yield DirectedMultigraph(k, edges, labels, f"chunks({k})")
+    k = 2 * JSON_CHUNK + 1
+    yield DirectedMultigraph(2, ((0, 1),) * k, None, "no labels")
+
+
+def test_graph_documents_keep_the_dump_layout_across_chunks(tmp_path, capsys):
+    # level 0 of derive writes its input back out, so any graph reaches
+    # the stdout path
+    src = tmp_path / "g.json"
+    for g in _chunked_graphs():
+        expected = dumped(g)
+        write_graph(g, str(src))
+        assert src.read_bytes() == expected.encode("ascii"), g.name
+        code, stdout, _ = run(
+            ["derive", "-i", str(src), "--p", "2", "--level", "0"], capsys
+        )
+        assert code == 0
+        assert stdout == expected, g.name
 
 
 def test_graph_document_rejects_garbage():
@@ -346,7 +384,8 @@ def test_derive_writes_the_same_bytes_to_stdout_and_to_a_file(
     src = tmp_path / "b.json"
     out = tmp_path / "d.json"
     write_graph(base, str(src))
-    for p, level in ((3, 2), (2, 0)):
+    # (2, 10): 12,288 edges and 6,144 labels, across chunk boundaries
+    for p, level in ((3, 2), (2, 0), (2, 10)):
         argv = ["derive", "-i", str(src), "--p", str(p), "--level", str(level)]
         code, stdout, _ = run(argv, capsys)
         assert code == 0
@@ -355,6 +394,31 @@ def test_derive_writes_the_same_bytes_to_stdout_and_to_a_file(
         expected = dumped(derive(base, ConstantVoltage(p), level))
         assert stdout == expected
         assert out.read_bytes() == expected.encode("ascii")
+
+
+def test_derive_peaks_at_its_graph_plus_less_than_its_document(tmp_path):
+    # the largest level of the derive-io corpus, 50,421 edges: the written
+    # document goes out in chunks, so only a chunk sits beside the graph
+    base, p, level = bouquet(3), 7, 5
+    src, out = tmp_path / "b.json", tmp_path / "d.json"
+    write_graph(base, str(src))
+    argv = ["derive", "-i", str(src), "--p", str(p), "--level", str(level)]
+    argv += ["-o", str(out)]
+    assert main(argv) == 0  # the parser is built outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        derived = derive(base, ConstantVoltage(p), level)
+        graph = tracemalloc.get_traced_memory()[0] - before
+        assert len(derived.edges) == 50_421
+        del derived
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - graph < out.stat().st_size
 
 
 def test_derive_non_unit_param(tmp_path, capsys):
@@ -676,7 +740,9 @@ def test_size_cap_exits_6_at_once(tmp_path, capsys):
         assert "exceed the cap" in err
 
 
-def test_a_claimed_vertex_count_over_the_cap_exits_6_at_once(tmp_path, capsys):
+def test_a_claimed_vertex_count_over_the_cap_exits_6_at_once(
+    tmp_path, capsys, monkeypatch
+):
     # a few bytes of JSON must not make any command allocate 10^12 vertices
     src = tmp_path / "huge.json"
     doc = graph_to_document(directed_cycle(3))
@@ -692,6 +758,29 @@ def test_a_claimed_vertex_count_over_the_cap_exits_6_at_once(tmp_path, capsys):
         assert code == 6, argv
         assert stdout == ""
         assert "exceeds the cap" in err
+
+    # nor may a list of edges longer than any document the CLI writes
+    # reach the graph constructor
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(documents, "DirectedMultigraph", no_graph)
+    doc = graph_to_document(DirectedMultigraph(2, ((0, 1),), name="wide"))
+    doc["edges"] = [[0, 1]] * (DERIVED_EDGE_CAP + 1)
+    src.write_text(json.dumps(doc))
+    for argv in (
+        ["invariants", "-i", str(src), "--p", "2"],
+        ["verify", "-i", str(src), "--p", "2", "--n-max", "2"],
+        ["derive", "-i", str(src), "--p", "2", "--level", "0"],
+        ["export-dot", "-i", str(src)],
+    ):
+        code, stdout, err = run(argv, capsys)
+        assert code == 6, argv
+        assert stdout == ""
+        assert err == (
+            f"error: edge count {DERIVED_EDGE_CAP + 1} exceeds the cap of "
+            f"{DERIVED_EDGE_CAP}\n"
+        )
 
 
 def test_a_charpoly_over_its_cap_exits_6_at_once(tmp_path, capsys, monkeypatch):

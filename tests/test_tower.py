@@ -266,6 +266,12 @@ def test_derived_edge_cap():
     assert 1000 * 2**9 > DERIVED_EDGE_CAP
     with pytest.raises(TooLargeError, match="derived edges"):
         derive(bouquet(1000), ConstantVoltage(2), 9)
+    # level 0 returns its base only within the cap
+    loops = DirectedMultigraph(1, ((0, 0),) * DERIVED_EDGE_CAP)
+    assert derive(loops, ConstantVoltage(2), 0) is loops
+    over = DirectedMultigraph(1, ((0, 0),) * (DERIVED_EDGE_CAP + 1))
+    with pytest.raises(TooLargeError, match="derived edges"):
+        derive(over, ConstantVoltage(2), 0)
 
 
 def test_non_unit_parameter_splits_level_one(corpus):

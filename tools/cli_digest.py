@@ -6,7 +6,8 @@ three benchmark workloads at seeds 1 and 97:
 - ``climb``: each job's ``verify --json`` call, then the same call without
   ``--json`` (the table);
 - ``charpoly``: each ``invariants`` call;
-- ``derive-io``: each ``derive -o`` call, then its ``export-dot``.
+- ``derive-io``: each ``derive -o`` call, then the same call without
+  ``-o`` (the document on stdout), then its ``export-dot``.
 
 It prints the number of CLI runs and one SHA-256 over every run's exit
 code, stdout, stderr and output files, in order.  Two trees that print the
@@ -39,11 +40,15 @@ def _feed(h, data: bytes) -> None:
 
 
 def _runs(job, workload):
-    """The argvs to run for ``job``: the benchmark's own, and for a climb
-    job also its table."""
+    """The argvs to run for ``job``: the benchmark's own, for a climb job
+    also its table, and for a derive-io job also its ``derive`` to stdout."""
     if workload == "climb":
         (argv,) = job.argvs
         return [argv, tuple(a for a in argv if a != "--json")]
+    if workload == "derive-io":
+        derive, export_dot = job.argvs
+        o = derive.index("-o")
+        return [derive, derive[:o] + derive[o + 2 :], export_dot]
     return list(job.argvs)
 
 
